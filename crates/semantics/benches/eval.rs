@@ -13,9 +13,13 @@
 //!
 //! Flags: `--test` (CI smoke mode: run once, no timing, no JSON),
 //! `--samples N`, `--record-baseline` (rewrite `benches/baseline.json`
-//! instead of `BENCH_eval.json`).
+//! instead of `BENCH_eval.json`), `--min-check-geomean X` and
+//! `--min-parse-geomean Y` (exit 1 when a group's geomean speedup vs the
+//! baseline falls below its floor).
 
-use cundef_bench::{black_box, corpus, measurements_json, parse_measurements, Criterion};
+use cundef_bench::{
+    black_box, corpus, measurements_json, parse_measurements, Criterion, Measurement,
+};
 use cundef_semantics::eval::Engine;
 use cundef_semantics::{check_translation_unit, compile_unit, parser, Interp, Limits};
 use std::fmt::Write as _;
@@ -34,19 +38,24 @@ fn workspace_root() -> PathBuf {
 fn main() {
     let mut c = Criterion::from_args();
     let record_baseline = std::env::args().any(|a| a == "--record-baseline");
-    // `--min-check-geomean X` (used by CI): after a real run, fail unless
-    // the geomean speedup of the `check/*` group vs the recorded baseline
-    // is at least X. Guards against a refactor regressing the evaluator
-    // by whole factors while tolerating runner-to-runner variance.
-    let min_check_geomean = {
-        let mut args = std::env::args();
-        let mut found = None;
-        while let Some(a) = args.next() {
-            if a == "--min-check-geomean" {
-                found = args.next().and_then(|v| v.parse::<f64>().ok());
-            }
-        }
-        found
+    // `--min-check-geomean X` and `--min-parse-geomean Y` (used by CI):
+    // after a real run, fail unless the geomean speedup of the `check/*`
+    // (evaluator) and `parse/*` (frontend) groups vs the recorded
+    // baseline is at least X and Y. Guards against a refactor regressing
+    // either hot path by whole factors while tolerating runner-to-runner
+    // variance.
+    let floors: Vec<(&str, f64)> = {
+        let args: Vec<String> = std::env::args().collect();
+        [
+            ("check/", "--min-check-geomean"),
+            ("parse/", "--min-parse-geomean"),
+        ]
+        .into_iter()
+        .filter_map(|(group, flag)| {
+            let at = args.iter().position(|a| a == flag)?;
+            Some((group, args.get(at + 1)?.parse::<f64>().ok()?))
+        })
+        .collect()
     };
     let programs = corpus::standard();
     let typed = corpus::typed();
@@ -198,23 +207,31 @@ fn main() {
             measurements_json(&baseline)
         );
         out.push_str("  \"speedup_vs_baseline\": {");
-        let mut ratios = Vec::new();
         let mut first = true;
         for b in &baseline {
             let Some(cur) = c.results().iter().find(|m| m.name == b.name) else {
                 continue;
             };
-            let ratio = b.median_ns / cur.median_ns;
-            ratios.push(ratio);
             if !first {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\n    \"{}\": {:.2}", b.name, ratio);
+            let _ = write!(
+                out,
+                "\n    \"{}\": {:.2}",
+                b.name,
+                b.median_ns / cur.median_ns
+            );
         }
-        if !ratios.is_empty() {
-            let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
-            let _ = write!(out, ",\n    \"geomean\": {geomean:.2}");
+        for (key, group) in [
+            ("geomean", ""),
+            ("check_geomean", "check/"),
+            ("parse_geomean", "parse/"),
+        ] {
+            let in_group = baseline.iter().filter(|b| b.name.starts_with(group));
+            if let Some(geomean) = geomean_speedup(in_group, c.results()) {
+                let _ = write!(out, ",\n    \"{key}\": {geomean:.2}");
+            }
         }
         out.push_str("\n  }\n");
     }
@@ -224,25 +241,37 @@ fn main() {
     std::fs::write(&out_path, out).expect("write BENCH_eval.json");
     eprintln!("wrote {}", out_path.display());
 
-    if let Some(min) = min_check_geomean {
-        let mut ratios = Vec::new();
-        for b in baseline.iter().filter(|b| b.name.starts_with("check/")) {
-            if let Some(cur) = c.results().iter().find(|m| m.name == b.name) {
-                ratios.push(b.median_ns / cur.median_ns);
-            }
-        }
-        assert!(
-            !ratios.is_empty(),
-            "--min-check-geomean requires check/* entries in benches/baseline.json"
-        );
-        let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
-        eprintln!("check/* geomean speedup vs recorded baseline: {geomean:.2} (floor {min})");
+    for (group, min) in floors {
+        let geomean = geomean_speedup(
+            baseline.iter().filter(|b| b.name.starts_with(group)),
+            c.results(),
+        )
+        .unwrap_or_else(|| {
+            panic!("a {group}* floor requires {group}* entries in benches/baseline.json")
+        });
+        eprintln!("{group}* geomean speedup vs recorded baseline: {geomean:.2} (floor {min})");
         if geomean < min {
             eprintln!(
-                "FAIL: the evaluator's check/* geomean fell below the floor — \
+                "FAIL: the {group}* geomean fell below the floor — \
                  the refactor regressed the hot path"
             );
             std::process::exit(1);
         }
     }
+}
+
+/// The geometric mean of `baseline / current` median times over the
+/// baseline entries that were measured again, or `None` if none were.
+fn geomean_speedup<'a>(
+    baseline: impl Iterator<Item = &'a Measurement>,
+    current: &[Measurement],
+) -> Option<f64> {
+    let ratios: Vec<f64> = baseline
+        .filter_map(|b| {
+            let cur = current.iter().find(|m| m.name == b.name)?;
+            Some(b.median_ns / cur.median_ns)
+        })
+        .collect();
+    (!ratios.is_empty())
+        .then(|| (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp())
 }

@@ -9,9 +9,11 @@
 //!
 //! Keywords and the recognized library functions are pre-interned at
 //! fixed indices (the `kw` module), which turns the parser's keyword
-//! tests into integer comparisons.
+//! tests into integer comparisons. They live in a static table built at
+//! compile time, so a fresh interner allocates nothing: only spellings
+//! outside that table are copied, into one `String` arena indexed by a
+//! hand-rolled open-addressing table keyed by an Fx-style hash.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// An interned identifier: an index into the owning [`Interner`].
@@ -87,6 +89,60 @@ pub mod kw {
     pub(super) const KEYWORD_COUNT: u32 = SIZEOF.0 + 1;
 }
 
+/// Number of pre-interned symbols; arena symbols are numbered after them.
+const PREINTERNED: u32 = kw::SPELLINGS.len() as u32;
+
+/// FxHash over a byte string: eight bytes at a time, then the tail.
+const fn fx_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h: u64 = 0;
+    let mut i = 0;
+    while i + 8 <= bytes.len() {
+        let w = u64::from_le_bytes([
+            bytes[i],
+            bytes[i + 1],
+            bytes[i + 2],
+            bytes[i + 3],
+            bytes[i + 4],
+            bytes[i + 5],
+            bytes[i + 6],
+            bytes[i + 7],
+        ]);
+        h = (h.rotate_left(5) ^ w).wrapping_mul(K);
+        i += 8;
+    }
+    while i < bytes.len() {
+        h = (h.rotate_left(5) ^ bytes[i] as u64).wrapping_mul(K);
+        i += 1;
+    }
+    h
+}
+
+/// The home slot of `hash` in a power-of-two table of `1 << bits`
+/// entries: the hash's top bits, which the multiply mixes best.
+const fn home(hash: u64, bits: u32) -> usize {
+    (hash >> (64 - bits)) as usize
+}
+
+/// log2 of [`KW_TABLE`]'s size: at most 27 of its 64 slots are taken.
+const KW_BITS: u32 = 6;
+
+/// Open-addressing table over [`kw::SPELLINGS`], built at compile time:
+/// each slot holds a pre-interned index plus one, or 0 when empty.
+const KW_TABLE: [u8; 1 << KW_BITS] = {
+    let mut table = [0u8; 1 << KW_BITS];
+    let mut k = 0;
+    while k < kw::SPELLINGS.len() {
+        let mut slot = home(fx_hash(kw::SPELLINGS[k].as_bytes()), KW_BITS);
+        while table[slot] != 0 {
+            slot = (slot + 1) & (table.len() - 1);
+        }
+        table[slot] = k as u8 + 1;
+        k += 1;
+    }
+    table
+};
+
 /// A symbol table mapping identifier spellings to [`Symbol`]s and back.
 ///
 /// # Examples
@@ -104,8 +160,16 @@ pub mod kw {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Interner {
-    names: Vec<String>,
-    map: HashMap<String, u32>,
+    /// Every spelling outside [`kw::SPELLINGS`], back to back.
+    arena: String,
+    /// `(start, end)` of each arena symbol's spelling in `arena`, in
+    /// symbol order.
+    spans: Vec<(u32, u32)>,
+    /// Open-addressing table over the arena symbols: each slot holds
+    /// the spelling's 32-bit hash tag and its `spans` index plus one (0
+    /// when empty). Its length is zero or a power of two, kept at most
+    /// half full.
+    slots: Vec<(u32, u32)>,
 }
 
 impl Default for Interner {
@@ -116,27 +180,74 @@ impl Default for Interner {
 
 impl Interner {
     /// Create an interner with the keywords and known library names
-    /// pre-interned at their fixed [`kw`] indices.
+    /// pre-interned at their fixed [`kw`] indices. Allocates nothing.
     pub fn new() -> Interner {
-        let mut interner = Interner {
-            names: Vec::with_capacity(kw::SPELLINGS.len() + 16),
-            map: HashMap::with_capacity(kw::SPELLINGS.len() + 16),
-        };
-        for s in kw::SPELLINGS {
-            interner.intern(s);
+        Interner {
+            arena: String::new(),
+            spans: Vec::new(),
+            slots: Vec::new(),
         }
-        interner
     }
 
     /// Intern `text`, returning the existing symbol if already present.
     pub fn intern(&mut self, text: &str) -> Symbol {
-        if let Some(&id) = self.map.get(text) {
-            return Symbol(id);
+        let hash = fx_hash(text.as_bytes());
+        let mut slot = home(hash, KW_BITS);
+        loop {
+            match KW_TABLE[slot] {
+                0 => break,
+                k if kw::SPELLINGS[k as usize - 1] == text => return Symbol(k as u32 - 1),
+                _ => slot = (slot + 1) & (KW_TABLE.len() - 1),
+            }
         }
-        let id = u32::try_from(self.names.len()).expect("fewer than 2^32 identifiers");
-        self.names.push(text.to_string());
-        self.map.insert(text.to_string(), id);
-        Symbol(id)
+        if (self.spans.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let tag = hash as u32;
+        let bits = self.slots.len().trailing_zeros();
+        let mut slot = home(hash, bits);
+        loop {
+            match self.slots[slot] {
+                (_, 0) => break,
+                (t, id) if t == tag && self.spelling(id - 1) == text => {
+                    return Symbol(PREINTERNED + id - 1)
+                }
+                _ => slot = (slot + 1) & (self.slots.len() - 1),
+            }
+        }
+        let id = u32::try_from(self.spans.len() + 1).expect("fewer than 2^32 identifiers");
+        let start = u32::try_from(self.arena.len()).expect("identifier arena under 4 GiB");
+        self.arena.push_str(text);
+        self.spans.push((start, self.arena.len() as u32));
+        self.slots[slot] = (tag, id);
+        Symbol(PREINTERNED + id - 1)
+    }
+
+    /// Double the table and re-seat every entry. The first call sizes
+    /// everything for a typical unit: 64 slots, 32 spellings, 256 bytes.
+    fn grow(&mut self) {
+        if self.slots.is_empty() {
+            self.spans.reserve(32);
+            self.arena.reserve(256);
+        }
+        let len = (self.slots.len() * 2).max(64);
+        let bits = len.trailing_zeros();
+        let mut slots = vec![(0, 0); len];
+        for (k, &(start, end)) in self.spans.iter().enumerate() {
+            let hash = fx_hash(&self.arena.as_bytes()[start as usize..end as usize]);
+            let mut slot = home(hash, bits);
+            while slots[slot].1 != 0 {
+                slot = (slot + 1) & (len - 1);
+            }
+            slots[slot] = (hash as u32, k as u32 + 1);
+        }
+        self.slots = slots;
+    }
+
+    /// The spelling of arena symbol `k` (0-based among arena symbols).
+    fn spelling(&self, k: u32) -> &str {
+        let (start, end) = self.spans[k as usize];
+        &self.arena[start as usize..end as usize]
     }
 
     /// The spelling of `sym`.
@@ -146,18 +257,21 @@ impl Interner {
     /// Panics if `sym` was interned by a different interner and is out of
     /// range for this one.
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.names[sym.0 as usize]
+        match sym.0.checked_sub(PREINTERNED) {
+            None => kw::SPELLINGS[sym.0 as usize],
+            Some(k) => self.spelling(k),
+        }
     }
 
     /// Number of interned symbols (including the pre-interned ones).
     pub fn len(&self) -> usize {
-        self.names.len()
+        PREINTERNED as usize + self.spans.len()
     }
 
-    /// Whether the interner holds no symbols. Never true in practice
-    /// (keywords are pre-interned), provided for API completeness.
+    /// Whether the interner holds no symbols. Never true (keywords are
+    /// pre-interned), provided for API completeness.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        false
     }
 }
 
@@ -208,5 +322,56 @@ mod tests {
         assert_eq!(i.intern("alpha"), a);
         assert_eq!(i.resolve(a), "alpha");
         assert_eq!(i.resolve(b), "beta");
+    }
+
+    #[test]
+    fn every_preinterned_spelling_maps_to_its_index() {
+        let mut i = Interner::new();
+        for (k, text) in kw::SPELLINGS.iter().enumerate() {
+            assert_eq!(i.intern(text), Symbol(k as u32), "{text}");
+            assert_eq!(i.resolve(Symbol(k as u32)), *text);
+        }
+        assert_eq!(i.len(), kw::SPELLINGS.len(), "keywords are never copied");
+    }
+
+    #[test]
+    fn thousands_of_identifiers_round_trip_beside_the_keywords() {
+        let mut i = Interner::new();
+        let names: Vec<String> = (0..5000).map(|k| format!("v{k}_{}", k * 7919)).collect();
+        let syms: Vec<Symbol> = names.iter().map(|n| i.intern(n)).collect();
+        assert_eq!(i.len(), kw::SPELLINGS.len() + names.len());
+        for (k, (name, sym)) in names.iter().zip(&syms).enumerate() {
+            assert_eq!(
+                sym.index(),
+                kw::SPELLINGS.len() + k,
+                "symbols number in order"
+            );
+            assert_eq!(i.resolve(*sym), name);
+            assert_eq!(i.intern(name), *sym, "re-interning finds the same symbol");
+        }
+        assert_eq!(i.intern("while"), kw::WHILE);
+        assert_eq!(i.intern("sizeof"), kw::SIZEOF);
+        assert_eq!(i.intern("main"), kw::MAIN);
+        assert_eq!(i.resolve(kw::BOOL), "_Bool");
+    }
+
+    #[test]
+    fn identifiers_that_start_with_a_keyword_are_new_symbols() {
+        let mut i = Interner::new();
+        for text in ["integer", "_Bool1", "mainly", "in", "whil", "freed"] {
+            let sym = i.intern(text);
+            assert!(sym.index() >= kw::SPELLINGS.len(), "{text}");
+            assert!(!sym.is_keyword(), "{text}");
+            assert_eq!(i.resolve(sym), text);
+        }
+    }
+
+    #[test]
+    fn a_fresh_interner_is_empty_of_heap_state() {
+        let i = Interner::new();
+        assert_eq!(i.arena.capacity(), 0);
+        assert_eq!(i.spans.capacity(), 0);
+        assert_eq!(i.slots.capacity(), 0);
+        assert_eq!(i.len(), kw::SPELLINGS.len());
     }
 }

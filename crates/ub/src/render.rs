@@ -683,6 +683,9 @@ mod tests {
             .is_empty());
     }
 
+    // The check is a `debug_assert!`, so a release build has nothing to
+    // trip.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "placeholder location")]
     fn placeholder_locations_fail_the_debug_assertion() {

@@ -8,10 +8,10 @@
 //!
 //! - **Content addressing.** Entries are keyed by [`CacheKey`]: a
 //!   64-bit FNV-1a hash of the source *bytes* ([`content_hash`]) plus a
-//!   caller-chosen *options fingerprint* (which checking knobs — phase,
-//!   engine — produced the value). The file's *path* is never part of
-//!   the key: the same bytes under two names are the same translation
-//!   unit, and the caller re-labels the cached value per request.
+//!   caller-chosen *options fingerprint* (which checking knobs produced
+//!   the value). The file's *path* is never part of the key: the same
+//!   bytes under two names are the same translation unit, and the
+//!   caller re-labels the cached value per request.
 //! - **Bounded LRU.** [`LruCache`] holds at most `capacity` entries in
 //!   an intrusive doubly-linked list over a slab, so `get`/`insert`
 //!   are O(1) and a hot serve loop never rehashes under a lock longer
@@ -21,12 +21,10 @@
 //!   invalidation-shaped replacements) and surfaced through the same
 //!   `--stats` seam as the rest of the workspace.
 //!
-//! The cache is value-generic: `cundef serve` keeps two instances — a
-//! *result* cache (fingerprint-keyed, memoizing the full `FileResult`)
-//! and an *artifact* cache (fingerprint 0, memoizing the parsed +
-//! resolved translation unit for warm partial hits when only the
-//! options change). Thread safety is the caller's choice; the serve
-//! daemon wraps each instance in a `Mutex`.
+//! The cache is value-generic: `cundef serve` keeps one instance, a
+//! *result* cache memoizing the full `FileResult` together with the
+//! source bytes it was computed from. Thread safety is the caller's
+//! choice; the serve daemon wraps the instance in a `Mutex`.
 
 #![deny(missing_docs)]
 
@@ -35,11 +33,10 @@ use std::collections::HashMap;
 /// 64-bit FNV-1a over the source bytes: the content half of a
 /// [`CacheKey`].
 ///
-/// FNV-1a is not cryptographic, and does not need to be: the cache is
-/// a local performance layer, collisions only risk *speed* on
-/// adversarial input to one's own checker, and the 64-bit space makes
-/// accidental collisions vanishingly unlikely at any plausible
-/// capacity.
+/// FNV-1a is not cryptographic, and colliding inputs are easy to
+/// construct. A key match therefore only names a candidate: a caller
+/// whose answer must belong to the same bytes stores the bytes in the
+/// value and compares them on every hit, as `cundef serve` does.
 ///
 /// # Examples
 ///
@@ -61,14 +58,14 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
 /// fingerprint that produced the cached value.
 ///
 /// Two requests for the same bytes under different checking options
-/// (`--phase`, `--engine`) must never cross-contaminate — they hash to
-/// different keys.
+/// (`--phase`) must never cross-contaminate — they hash to different
+/// keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// [`content_hash`] of the source bytes.
     pub content: u64,
     /// Caller-defined fingerprint of every checking option that can
-    /// change the value (0 for option-independent artifacts).
+    /// change the value.
     pub fingerprint: u64,
 }
 
@@ -206,12 +203,6 @@ impl<V> LruCache<V> {
         }
     }
 
-    /// Look up `key` without touching recency or counters (telemetry
-    /// probes must not skew the hit rate they report).
-    pub fn peek(&self, key: &CacheKey) -> Option<&V> {
-        self.map.get(key).map(|&i| &self.slab[i as usize].value)
-    }
-
     /// Insert `value` under `key`, evicting the least-recently-used
     /// entry if the cache is full. Returns the evicted `(key, value)`
     /// when capacity pressure displaced one.
@@ -324,19 +315,6 @@ mod tests {
         }
         assert_eq!(c.len(), 1);
         assert_eq!(c.stats().evictions, 99);
-    }
-
-    #[test]
-    fn peek_does_not_skew_counters_or_recency() {
-        let mut c: LruCache<u32> = LruCache::new(2);
-        c.insert(k(1, 0), 1);
-        c.insert(k(2, 0), 2);
-        assert_eq!(c.peek(&k(1, 0)), Some(&1));
-        let before = c.stats();
-        assert_eq!((before.hits, before.misses), (0, 0));
-        // 1 stays LRU despite the peek: inserting evicts it.
-        c.insert(k(3, 0), 3);
-        assert_eq!(c.peek(&k(1, 0)), None);
     }
 
     #[test]

@@ -3,21 +3,25 @@
 //! `cundef serve` daemon — runs the *same* code path and produces the
 //! same [`FileResult`] for the same bytes and options.
 //!
-//! The pipeline is split at the two seams the serve cache needs:
+//! The pipeline is split at the one seam the serve cache needs:
 //!
-//! - [`check_file`] — read from disk, then [`check_source`];
-//! - [`check_source`] — lex/parse/resolve, then [`check_parsed`];
-//! - [`check_parsed`] — translation-phase analysis and (when selected)
-//!   execution over an already-parsed translation unit. A warm cache
-//!   hit on the parsed artifact enters here directly, skipping the
-//!   whole frontend.
+//! - [`check_file`] — read from disk ([`read_source`]), then
+//!   [`check_source`];
+//! - [`check_source`] — lex/parse/resolve, translation-phase analysis
+//!   and (when selected) execution of already-loaded source text. The
+//!   daemon hashes the bytes and consults its result cache first.
+//!
+//! Execution always runs on the bytecode VM. The tree-walker stays in
+//! `cundef-semantics` as the reference engine the parity suites and the
+//! fuzzer hold the VM to.
 
 use cundef_analysis::analyze;
-use cundef_semantics::ast::TranslationUnit;
-use cundef_semantics::eval::{Engine, Interp, Limits, Outcome};
+use cundef_semantics::eval::{Interp, Limits, Outcome};
 use cundef_semantics::intern::kw;
 use cundef_semantics::{compile_unit, parser, ExecProfile};
-use cundef_ub::render::{FileResult, Verdict};
+use cundef_ub::render::{
+    FileResult, HumanRenderer, JsonRenderer, Renderer, SarifRenderer, Verdict,
+};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -63,6 +67,15 @@ impl Format {
             "json" => Some(Format::Json),
             "sarif" => Some(Format::Sarif),
             _ => None,
+        }
+    }
+
+    /// A fresh renderer for one run (or one serve response).
+    pub fn renderer(self, quiet: bool) -> Box<dyn Renderer> {
+        match self {
+            Format::Human => Box::new(HumanRenderer::new(quiet)),
+            Format::Json => Box::new(JsonRenderer::new()),
+            Format::Sarif => Box::new(SarifRenderer::new(env!("CARGO_PKG_VERSION"))),
         }
     }
 }
@@ -129,27 +142,21 @@ impl FailOn {
 pub struct CheckOptions {
     /// Which phases run.
     pub phase: Phase,
-    /// Which execution engine runs the program.
-    pub engine: Engine,
     /// Collect execution telemetry.
     pub profile: bool,
 }
 
 impl CheckOptions {
     /// The options fingerprint for cache keying: every knob that can
-    /// change a [`FileResult`] (or its telemetry side channel) for the
-    /// same source bytes must land in here.
+    /// change a [`FileResult`] for the same source bytes must land in
+    /// here. That is the phase alone: `profile` adds telemetry, not a
+    /// different result, and profiling requests bypass the cache.
     pub fn fingerprint(&self) -> u64 {
-        let phase = match self.phase {
-            Phase::Translation => 0u64,
+        match self.phase {
+            Phase::Translation => 0,
             Phase::Execution => 1,
             Phase::All => 2,
-        };
-        let engine = match self.engine {
-            Engine::Tree => 0u64,
-            Engine::Bytecode => 1,
-        };
-        phase | (engine << 2) | ((self.profile as u64) << 3)
+        }
     }
 }
 
@@ -271,23 +278,27 @@ impl Checked {
     }
 }
 
-/// Check one file from disk: read, then [`check_source`].
-pub fn check_file(path: &str, opts: &CheckOptions) -> Checked {
-    let mut stats = PhaseStats::default();
+/// Read `path` from disk into `stats.read`'s span. The error is the
+/// engine-failure message for an unreadable file.
+pub fn read_source(path: &str, stats: &mut PhaseStats) -> Result<String, String> {
     let t = Instant::now();
-    let source = match std::fs::read_to_string(path) {
-        Err(e) => {
-            stats.read = t.elapsed();
-            return Checked::failed(path, stats, format!("cannot read file: {e}"));
-        }
-        Ok(source) => source,
-    };
+    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read file: {e}"));
     stats.read = t.elapsed();
-    check_source(path, &source, stats, opts)
+    source
 }
 
-/// Check already-loaded source text: lex/parse/resolve, then
-/// [`check_parsed`]. `path` is the label used in every diagnostic.
+/// Check one file from disk: [`read_source`], then [`check_source`].
+pub fn check_file(path: &str, opts: &CheckOptions) -> Checked {
+    let mut stats = PhaseStats::default();
+    match read_source(path, &mut stats) {
+        Ok(source) => check_source(path, &source, stats, opts),
+        Err(e) => Checked::failed(path, stats, e),
+    }
+}
+
+/// Check already-loaded source text: lex/parse/resolve,
+/// translation-phase analysis, then (when selected) execution. `path`
+/// is the label used in every diagnostic.
 pub fn check_source(
     path: &str,
     source: &str,
@@ -305,19 +316,6 @@ pub fn check_source(
             unit
         }
     };
-    check_parsed(path, &unit, stats, opts)
-}
-
-/// Check an already-parsed translation unit: translation-phase
-/// analysis, then (when selected) execution. This is the warm-cache
-/// entry point — a serve request whose source bytes are known but
-/// whose options fingerprint is new starts here.
-pub fn check_parsed(
-    path: &str,
-    unit: &TranslationUnit,
-    mut stats: PhaseStats,
-    opts: &CheckOptions,
-) -> Checked {
     let mut result = FileResult {
         path: path.to_string(),
         verdict: Verdict::Defined,
@@ -333,7 +331,7 @@ pub fn check_parsed(
     // (or shadow) the report, so execution is skipped.
     if opts.phase != Phase::Execution {
         let t = Instant::now();
-        let findings = analyze(unit);
+        let findings = analyze(&unit);
         stats.analyze = t.elapsed();
         if !findings.is_empty() {
             result.verdict = Verdict::Undefined;
@@ -370,24 +368,16 @@ pub fn check_parsed(
             profile: None,
         };
     }
-    let mut interp = Interp::with_engine(unit, Limits::default(), opts.engine);
+    let mut interp = Interp::new(&unit, Limits::default());
     if opts.profile {
         interp.enable_profiling();
     }
-    let outcome = if opts.engine == Engine::Bytecode {
-        let t = Instant::now();
-        let compiled = compile_unit(unit);
-        stats.compile = t.elapsed();
-        let t = Instant::now();
-        let outcome = interp.run_main_compiled(&compiled);
-        stats.execute = t.elapsed();
-        outcome
-    } else {
-        let t = Instant::now();
-        let outcome = interp.run_main();
-        stats.execute = t.elapsed();
-        outcome
-    };
+    let t = Instant::now();
+    let compiled = compile_unit(&unit);
+    stats.compile = t.elapsed();
+    let t = Instant::now();
+    let outcome = interp.run_main_compiled(&compiled);
+    stats.execute = t.elapsed();
     // Implementation-defined conversion notes (§6.3.1.3:3 — narrowing
     // conversions this implementation resolves by two's-complement wrap)
     // print before the verdict: they describe defined behavior the

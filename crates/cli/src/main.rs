@@ -20,12 +20,12 @@
 //! Checking and rendering are split: each file reduces to a
 //! [`FileResult`](cundef_ub::render::FileResult) (the structured
 //! verdict + findings + notes), and a pluggable
-//! [`Renderer`] — selected by `--format human|json|sarif` —
-//! turns results into bytes. `--stats[=json]` reports per-phase wall
-//! times and `--profile` the engines' execution telemetry, both on
-//! stderr so every stdout format stays clean. `--fail-on error|ub|never`
-//! moves the exit-code threshold for CI gating without changing any
-//! report.
+//! [`Renderer`](cundef_ub::render::Renderer) — selected by
+//! `--format human|json|sarif` — turns results into bytes.
+//! `--stats[=json]` reports per-phase wall times and `--profile` the
+//! VM's execution telemetry, both on stderr so every stdout format
+//! stays clean. `--fail-on error|ub|never` moves the exit-code
+//! threshold for CI gating without changing any report.
 //!
 //! With `--batch`, many files are checked in parallel across a worker
 //! pool (see [`pool`]); duplicate paths are checked once and replayed.
@@ -37,11 +37,9 @@ mod pool;
 mod serve;
 
 use check::{check_file, render_profile, CheckOptions, Checked, FailOn, Format, Phase, PhaseStats};
-use cundef_semantics::eval::Engine;
-use cundef_ub::render::{HumanRenderer, JsonRenderer, Rendered, Renderer, SarifRenderer, Verdict};
+use cundef_ub::render::{Rendered, Verdict};
 use cundef_ub::{catalog, catalog_counts, Detectability};
 use pool::check_batch;
-use serve::parse_engine;
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -74,10 +72,6 @@ OPTIONS:
                   only — works on files with no `main`), `execution`
                   (run the program), or `all` (default: translation
                   first; a statically doomed file is not executed)
-    --engine E    Execution engine: `bytecode` (default — compile to a
-                  flat instruction stream and dispatch) or `tree` (the
-                  reference tree-walking evaluator); verdicts and
-                  reports are byte-identical between the two
     --format F    Output format: `human` (default, kcc-style reports),
                   `json` (JSON Lines: one event object per line), or
                   `sarif` (one SARIF 2.1.0 document on stdout, rule
@@ -134,8 +128,8 @@ REQUEST (one JSON object per stdin line, or POST /check body):
     {\"path\": \"examples/defined.c\"}            check a file on disk
     {\"source\": \"int main(void){return 0;}\"}   check inline source
     optional per-request fields: \"id\" (echoed), \"path\" (label for
-    inline source), \"phase\", \"engine\", \"format\", \"quiet\",
-    \"fail_on\", \"profile\"
+    inline source), \"phase\", \"format\", \"quiet\", \"fail_on\",
+    \"profile\"
     commands: {\"cmd\": \"stats\"}  {\"cmd\": \"shutdown\"}
 
 HTTP (with --listen): POST /check (request object as body; rendered
@@ -149,9 +143,8 @@ OPTIONS:
     --stdin            Service stdin-JSONL requests (the default when
                        --listen is not given; EOF shuts the daemon down)
     --jobs N           Worker threads (default: available parallelism)
-    --cache-capacity N Entries per cache level (default 4096)
+    --cache-capacity N Entries in the result cache (default 4096)
     --phase PHASE      Default phase for requests (as in `cundef`)
-    --engine E         Default engine for requests
     --format F         Default format for requests
     --fail-on T        Default exit-code threshold for responses
     -q, --quiet        Default quiet flag for human-format responses
@@ -188,7 +181,7 @@ OPTIONS:
     --exits          Also print the `case I exit E` golden-snapshot log
                      for passing defined cases
     --serve-replay   Replay the generated corpus through the serve
-                     pipeline (cold + warm) and assert every response is
+                     pipeline (cold + hit) and assert every response is
                      byte-identical to one-shot output (a sixth,
                      service-path oracle; skips the sweep)
     -h, --help       Print this help
@@ -215,7 +208,6 @@ fn main() -> ExitCode {
     let mut batch = false;
     let mut jobs: Option<usize> = None;
     let mut phase = Phase::All;
-    let mut engine = Engine::default();
     let mut format = Format::Human;
     let mut fail_on = FailOn::Ub;
     let mut stats = StatsMode::Off;
@@ -235,13 +227,6 @@ fn main() -> ExitCode {
                     complain!(
                         "error: `--phase` needs `translation`, `execution`, or `all`\n\n{USAGE}"
                     );
-                    return ExitCode::from(2);
-                }
-            },
-            "--engine" => match args.next().as_deref().and_then(parse_engine) {
-                Some(e) => engine = e,
-                None => {
-                    complain!("error: `--engine` needs `tree` or `bytecode`\n\n{USAGE}");
                     return ExitCode::from(2);
                 }
             },
@@ -299,16 +284,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let opts = CheckOptions {
-        phase,
-        engine,
-        profile,
-    };
-    let mut renderer: Box<dyn Renderer> = match format {
-        Format::Human => Box::new(HumanRenderer::new(quiet)),
-        Format::Json => Box::new(JsonRenderer::new()),
-        Format::Sarif => Box::new(SarifRenderer::new(env!("CARGO_PKG_VERSION"))),
-    };
+    let opts = CheckOptions { phase, profile };
+    let mut renderer = format.renderer(quiet);
     let mut any_undefined = false;
     let mut any_engine_failure = false;
     let mut agg = PhaseStats::default();
@@ -372,14 +349,7 @@ fn main() -> ExitCode {
 /// The `cundef serve` subcommand: parse flags and run the daemon.
 fn serve_main(args: Vec<String>) -> ExitCode {
     let mut cfg = serve::ServeConfig {
-        opts: CheckOptions {
-            phase: Phase::All,
-            engine: Engine::default(),
-            profile: false,
-        },
-        format: Format::Human,
-        quiet: false,
-        fail_on: FailOn::Ub,
+        defaults: serve::ServeDefaults::default(),
         jobs: 0,
         cache_capacity: serve::DEFAULT_CACHE_CAPACITY,
         listen: None,
@@ -418,7 +388,7 @@ fn serve_main(args: Vec<String>) -> ExitCode {
                 }
             },
             "--phase" => match it.next().as_deref().and_then(Phase::parse) {
-                Some(p) => cfg.opts.phase = p,
+                Some(p) => cfg.defaults.opts.phase = p,
                 None => {
                     complain!(
                         "error: `--phase` needs `translation`, `execution`, or `all`\n\n{SERVE_USAGE}"
@@ -426,15 +396,8 @@ fn serve_main(args: Vec<String>) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--engine" => match it.next().as_deref().and_then(parse_engine) {
-                Some(e) => cfg.opts.engine = e,
-                None => {
-                    complain!("error: `--engine` needs `tree` or `bytecode`\n\n{SERVE_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             "--format" => match it.next().as_deref().and_then(Format::parse) {
-                Some(f) => cfg.format = f,
+                Some(f) => cfg.defaults.format = f,
                 None => {
                     complain!(
                         "error: `--format` needs `human`, `json`, or `sarif`\n\n{SERVE_USAGE}"
@@ -443,7 +406,7 @@ fn serve_main(args: Vec<String>) -> ExitCode {
                 }
             },
             "--fail-on" => match it.next().as_deref().and_then(FailOn::parse) {
-                Some(f) => cfg.fail_on = f,
+                Some(f) => cfg.defaults.fail_on = f,
                 None => {
                     complain!(
                         "error: `--fail-on` needs `error`, `ub`, or `never`\n\n{SERVE_USAGE}"
@@ -451,7 +414,7 @@ fn serve_main(args: Vec<String>) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "-q" | "--quiet" => cfg.quiet = true,
+            "-q" | "--quiet" => cfg.defaults.quiet = true,
             other => {
                 complain!("error: unknown serve option `{other}`\n\n{SERVE_USAGE}");
                 return ExitCode::from(2);

@@ -18,30 +18,26 @@
 //!   response body (verdict/exit/cache outcome in `X-Cundef-*`
 //!   headers), plus `GET /stats`, `GET /health`, and `POST /shutdown`.
 //!   Connections are keep-alive; each parsed request is dispatched to
-//!   the worker pool.
+//!   the worker pool. A body over [`MAX_BODY_BYTES`] is refused with
+//!   413 and an unparseable `Content-Length` with 400, each closing the
+//!   connection before any body byte is read.
 //!
 //! In front of the workers sits the content-hash incremental cache
-//! (`cundef-cache`): a *result* cache keyed by (source-bytes hash,
-//! options fingerprint) memoizing the full [`FileResult`], and a
-//! *unit* cache keyed by content hash alone memoizing the parsed +
-//! resolved translation unit — so a repeat file is a hash lookup and a
-//! re-render, and a known file under new options skips the whole
-//! frontend. Both caches are bounded LRU; hit/miss/eviction counters
+//! (`cundef-cache`): one *result* cache keyed by (source-bytes hash,
+//! options fingerprint) memoizing the full [`FileResult`] next to the
+//! source bytes it was computed from. A repeat file is a hash lookup, a
+//! byte comparison and a re-render; bytes that merely share the hash
+//! are a miss. The cache is a bounded LRU; hit/miss/eviction counters
 //! surface through `{"cmd": "stats"}` / `GET /stats`.
 
 use crate::check::{
-    check_parsed, check_source, render_profile, CheckOptions, Checked, FailOn, Format, Phase,
+    check_source, read_source, render_profile, CheckOptions, Checked, FailOn, Format, Phase,
     PhaseStats,
 };
 use crate::pool::WorkerPool;
-use cundef_cache::{content_hash, CacheKey, CacheStats, LruCache};
-use cundef_semantics::ast::TranslationUnit;
-use cundef_semantics::eval::Engine;
-use cundef_semantics::parser;
+use cundef_cache::{content_hash, CacheKey, LruCache};
 use cundef_ub::json::{escaped, Json};
-use cundef_ub::render::{
-    FileResult, HumanRenderer, JsonRenderer, Rendered, Renderer, SarifRenderer, Verdict,
-};
+use cundef_ub::render::{FileResult, Rendered, Verdict};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -50,24 +46,23 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Default bound on each cache (entries, not bytes): generous for a
-/// sweep over a large tree, small enough that a long-lived daemon
+/// Default bound on the result cache (entries, not bytes): generous
+/// for a sweep over a large tree, small enough that a long-lived daemon
 /// cannot grow without bound.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
+/// Largest HTTP request body accepted, in bytes (1 MiB): far above any
+/// request object for a translation unit in the supported subset, and
+/// a bound on what one connection can make the daemon allocate.
+pub const MAX_BODY_BYTES: usize = 1 << 20;
+
 /// Per-daemon configuration (from `cundef serve` flags).
 pub struct ServeConfig {
-    /// Default checking options for requests that don't override them.
-    pub opts: CheckOptions,
-    /// Default output format.
-    pub format: Format,
-    /// Default human-format quiet flag.
-    pub quiet: bool,
-    /// Default exit-code threshold.
-    pub fail_on: FailOn,
+    /// Defaults for requests that don't override them.
+    pub defaults: ServeDefaults,
     /// Worker threads (0 = available parallelism).
     pub jobs: usize,
-    /// Capacity of each cache, in entries.
+    /// Capacity of the result cache, in entries.
     pub cache_capacity: usize,
     /// HTTP listen address (e.g. `127.0.0.1:0`), when HTTP is wanted.
     pub listen: Option<String>,
@@ -107,9 +102,9 @@ pub struct ServeResponse {
     /// The exit code a one-shot `cundef` run on this file would return
     /// under the request's `fail_on` threshold.
     pub exit: u8,
-    /// Cache outcome: `hit` (full result), `warm` (parsed unit reused),
-    /// `miss` (cold check, now cached), `uncached` (not cacheable —
-    /// read failure or profiling request).
+    /// Cache outcome: `hit` (stored result for the same bytes), `miss`
+    /// (cold check, now cached), `uncached` (not cacheable — read
+    /// failure or profiling request).
     pub cache: &'static str,
     /// Exactly the bytes a one-shot run would print to stdout.
     pub stdout: String,
@@ -135,18 +130,14 @@ impl ServeResponse {
     }
 }
 
-/// The daemon's shared state: caches, counters, defaults.
+/// The daemon's shared state: cache, counters, defaults.
 pub struct ServeCore {
     defaults: ServeDefaults,
-    /// Full-result cache: (content hash, options fingerprint) →
-    /// path-normalized [`FileResult`].
-    results: Mutex<LruCache<FileResult>>,
-    /// Artifact cache: content hash → parsed + resolved unit, shared
-    /// across options fingerprints.
-    units: Mutex<LruCache<Arc<TranslationUnit>>>,
+    /// Result cache: (content hash, options fingerprint) → the source
+    /// bytes and their path-normalized [`FileResult`].
+    results: Mutex<LruCache<CachedResult>>,
     requests: AtomicU64,
     full_hits: AtomicU64,
-    warm_hits: AtomicU64,
     cold_misses: AtomicU64,
     uncached: AtomicU64,
     workers: usize,
@@ -166,25 +157,36 @@ pub struct ServeDefaults {
     pub fail_on: FailOn,
 }
 
-/// Parse an `--engine` / request spelling.
-pub fn parse_engine(s: &str) -> Option<Engine> {
-    match s {
-        "tree" => Some(Engine::Tree),
-        "bytecode" => Some(Engine::Bytecode),
-        _ => None,
+impl Default for ServeDefaults {
+    /// The one-shot CLI's defaults: all phases, human format, exit on UB.
+    fn default() -> ServeDefaults {
+        ServeDefaults {
+            opts: CheckOptions {
+                phase: Phase::All,
+                profile: false,
+            },
+            format: Format::Human,
+            quiet: false,
+            fail_on: FailOn::Ub,
+        }
     }
 }
 
+/// One result-cache entry. The key's 64-bit hash can collide, so a hit
+/// counts only when `source` equals the request's bytes.
+struct CachedResult {
+    source: String,
+    result: FileResult,
+}
+
 impl ServeCore {
-    /// A fresh core with empty caches.
+    /// A fresh core with an empty cache.
     pub fn new(defaults: ServeDefaults, cache_capacity: usize, workers: usize) -> ServeCore {
         ServeCore {
             defaults,
             results: Mutex::new(LruCache::new(cache_capacity)),
-            units: Mutex::new(LruCache::new(cache_capacity)),
             requests: AtomicU64::new(0),
             full_hits: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
             cold_misses: AtomicU64::new(0),
             uncached: AtomicU64::new(0),
             workers,
@@ -195,8 +197,9 @@ impl ServeCore {
     /// Parse one JSON request object against the daemon defaults.
     ///
     /// Recognized fields: `path` (string), `source` (string, inline
-    /// translation unit), `id` (number), `phase`, `engine`, `format`
-    /// (strings), `quiet` (bool), `profile` (bool), `fail_on` (string).
+    /// translation unit), `id` (number), `phase`, `format` (strings),
+    /// `quiet` (bool), `profile` (bool), `fail_on` (string). Any other
+    /// field is ignored.
     pub fn parse_request(&self, v: &Json) -> Result<CheckRequest, String> {
         let d = self.defaults;
         let path = v.get("path").and_then(Json::as_str).map(str::to_string);
@@ -210,9 +213,6 @@ impl ServeCore {
         let mut opts = d.opts;
         if let Some(s) = v.get("phase").and_then(Json::as_str) {
             opts.phase = Phase::parse(s).ok_or_else(|| format!("unknown phase `{s}`"))?;
-        }
-        if let Some(s) = v.get("engine").and_then(Json::as_str) {
-            opts.engine = parse_engine(s).ok_or_else(|| format!("unknown engine `{s}`"))?;
         }
         if let Some(Json::Bool(b)) = v.get("profile") {
             opts.profile = *b;
@@ -266,29 +266,20 @@ impl ServeCore {
         }
     }
 
-    /// The caching check: full-result hit, warm unit hit, or cold miss.
+    /// The caching check: a stored result for the same bytes, or a
+    /// cold check whose result is then stored.
     fn check_cached(&self, req: &CheckRequest) -> (Checked, &'static str) {
         let mut stats = PhaseStats::default();
         let source = match &req.source {
             Some(s) => s.clone(),
-            None => {
-                let t = Instant::now();
-                match std::fs::read_to_string(&req.path) {
-                    Ok(s) => {
-                        stats.read = t.elapsed();
-                        s
-                    }
-                    Err(e) => {
-                        stats.read = t.elapsed();
-                        // Not content-addressable: never cached.
-                        self.uncached.fetch_add(1, Ordering::Relaxed);
-                        return (
-                            Checked::failed(&req.path, stats, format!("cannot read file: {e}")),
-                            "uncached",
-                        );
-                    }
+            None => match read_source(&req.path, &mut stats) {
+                Ok(s) => s,
+                Err(e) => {
+                    // Not content-addressable: never cached.
+                    self.uncached.fetch_add(1, Ordering::Relaxed);
+                    return (Checked::failed(&req.path, stats, e), "uncached");
                 }
-            }
+            },
         };
         if req.opts.profile {
             // Profiling wants fresh telemetry, and cached results carry
@@ -299,19 +290,19 @@ impl ServeCore {
                 "uncached",
             );
         }
-        let content = content_hash(source.as_bytes());
-        let result_key = CacheKey {
-            content,
+        let key = CacheKey {
+            content: content_hash(source.as_bytes()),
             fingerprint: req.opts.fingerprint(),
         };
         if let Some(cached) = self
             .results
             .lock()
             .expect("result cache poisoned")
-            .get(&result_key)
+            .get(&key)
+            .filter(|cached| cached.source == source)
         {
             self.full_hits.fetch_add(1, Ordering::Relaxed);
-            let mut result = cached.clone();
+            let mut result = cached.result.clone();
             result.path = req.path.clone();
             return (
                 Checked {
@@ -322,93 +313,51 @@ impl ServeCore {
                 "hit",
             );
         }
-        let unit_key = CacheKey {
-            content,
-            fingerprint: 0,
-        };
-        let cached_unit = self
-            .units
-            .lock()
-            .expect("unit cache poisoned")
-            .get(&unit_key)
-            .cloned();
-        let (checked, cache) = match cached_unit {
-            Some(unit) => {
-                self.warm_hits.fetch_add(1, Ordering::Relaxed);
-                (check_parsed(&req.path, &unit, stats, &req.opts), "warm")
-            }
-            None => {
-                self.cold_misses.fetch_add(1, Ordering::Relaxed);
-                match parser::parse_timed(&source) {
-                    Err(parse_err) => (
-                        Checked::failed(&req.path, stats, parse_err.to_string()),
-                        "miss",
-                    ),
-                    Ok((unit, timing)) => {
-                        stats.lex = timing.lex;
-                        stats.parse = timing.parse;
-                        stats.resolve = timing.resolve;
-                        let unit = Arc::new(unit);
-                        self.units
-                            .lock()
-                            .expect("unit cache poisoned")
-                            .insert(unit_key, Arc::clone(&unit));
-                        (check_parsed(&req.path, &unit, stats, &req.opts), "miss")
-                    }
-                }
-            }
-        };
+        self.cold_misses.fetch_add(1, Ordering::Relaxed);
+        let checked = check_source(&req.path, &source, stats, &req.opts);
         // Memoize the full result, path-normalized so the same bytes
-        // under another name replay with that name.
-        let mut stored = checked.result.clone();
-        stored.path = String::new();
+        // under another name replay with that name. A colliding entry
+        // for other bytes is replaced.
+        let mut result = checked.result.clone();
+        result.path = String::new();
         self.results
             .lock()
             .expect("result cache poisoned")
-            .insert(result_key, stored);
-        (checked, cache)
+            .insert(key, CachedResult { source, result });
+        (checked, "miss")
     }
 
     /// The `{"cmd": "stats"}` / `GET /stats` body (one JSON object).
     pub fn stats_json(&self) -> String {
-        let (results_len, results_cap, results_stats) = {
+        let (len, cap, stats) = {
             let c = self.results.lock().expect("result cache poisoned");
             (c.len(), c.capacity(), c.stats())
         };
-        let (units_len, units_cap, units_stats) = {
-            let c = self.units.lock().expect("unit cache poisoned");
-            (c.len(), c.capacity(), c.stats())
-        };
-        let cache_obj = |len: usize, cap: usize, s: CacheStats| {
-            format!(
-                "{{\"entries\": {len}, \"capacity\": {cap}, \"hits\": {}, \"misses\": {}, \
-                 \"insertions\": {}, \"evictions\": {}, \"replacements\": {}}}",
-                s.hits, s.misses, s.insertions, s.evictions, s.replacements
-            )
-        };
         format!(
-            "{{\"type\": \"stats\", \"requests\": {}, \"full_hits\": {}, \"warm_hits\": {}, \
+            "{{\"type\": \"stats\", \"requests\": {}, \"full_hits\": {}, \
              \"cold_misses\": {}, \"uncached\": {}, \"workers\": {}, \"uptime_ms\": {}, \
-             \"results\": {}, \"units\": {}}}",
+             \"results\": {{\"entries\": {len}, \"capacity\": {cap}, \"hits\": {}, \
+             \"misses\": {}, \"insertions\": {}, \"evictions\": {}, \"replacements\": {}}}}}",
             self.requests.load(Ordering::Relaxed),
             self.full_hits.load(Ordering::Relaxed),
-            self.warm_hits.load(Ordering::Relaxed),
             self.cold_misses.load(Ordering::Relaxed),
             self.uncached.load(Ordering::Relaxed),
             self.workers,
             self.started.elapsed().as_millis(),
-            cache_obj(results_len, results_cap, results_stats),
-            cache_obj(units_len, units_cap, units_stats),
+            stats.hits,
+            stats.misses,
+            stats.insertions,
+            stats.evictions,
+            stats.replacements,
         )
     }
 
     /// The shutdown summary printed to the daemon's stderr.
     fn summary(&self) -> String {
         format!(
-            "cundef serve: {} requests served ({} hits, {} warm, {} misses, {} uncached)",
+            "cundef serve: {} requests served ({} hits, {} misses, {} uncached)",
             self.requests.load(Ordering::Relaxed),
             self.full_hits.load(Ordering::Relaxed),
-            self.warm_hits.load(Ordering::Relaxed),
             self.cold_misses.load(Ordering::Relaxed),
             self.uncached.load(Ordering::Relaxed),
         )
@@ -418,11 +367,7 @@ impl ServeCore {
 /// Render one result exactly as a one-shot run would: per-file render
 /// plus the format's trailing output (the SARIF document).
 pub fn render_one(result: &FileResult, format: Format, quiet: bool) -> Rendered {
-    let mut renderer: Box<dyn Renderer> = match format {
-        Format::Human => Box::new(HumanRenderer::new(quiet)),
-        Format::Json => Box::new(JsonRenderer::new()),
-        Format::Sarif => Box::new(SarifRenderer::new(env!("CARGO_PKG_VERSION"))),
-    };
+    let mut renderer = format.renderer(quiet);
     let mut rendered = renderer.render_file(result);
     rendered.stdout.push_str(&renderer.finish());
     rendered
@@ -446,16 +391,7 @@ pub fn run_serve(cfg: ServeConfig) -> u8 {
     } else {
         cfg.jobs
     };
-    let core = Arc::new(ServeCore::new(
-        ServeDefaults {
-            opts: cfg.opts,
-            format: cfg.format,
-            quiet: cfg.quiet,
-            fail_on: cfg.fail_on,
-        },
-        cfg.cache_capacity,
-        workers,
-    ));
+    let core = Arc::new(ServeCore::new(cfg.defaults, cfg.cache_capacity, workers));
     let pool = Arc::new(WorkerPool::new(workers));
     let stop = Arc::new(AtomicBool::new(false));
     let done = Arc::new((Mutex::new(false), Condvar::new()));
@@ -661,7 +597,8 @@ fn handle_connection(
                 break;
             }
         };
-        let mut content_length = 0usize;
+        // `None` once a `Content-Length` fails to parse.
+        let mut content_length = Some(0usize);
         let mut close = false;
         loop {
             let mut header = String::new();
@@ -676,13 +613,34 @@ fn handle_connection(
                 let name = name.trim().to_ascii_lowercase();
                 let value = value.trim();
                 if name == "content-length" {
-                    content_length = value.parse().unwrap_or(0);
+                    content_length = value.parse().ok();
                 } else if name == "connection" && value.eq_ignore_ascii_case("close") {
                     close = true;
                 }
             }
         }
-        let mut body = vec![0u8; content_length];
+        let body_len = match content_length {
+            Some(n) if n <= MAX_BODY_BYTES => n,
+            refused => {
+                let (status, message) = match refused {
+                    Some(_) => (
+                        413,
+                        format!("request body exceeds {MAX_BODY_BYTES} bytes\n"),
+                    ),
+                    None => (400, "bad Content-Length\n".to_string()),
+                };
+                let close = ["Connection: close".to_string()];
+                write_http(
+                    &mut writer,
+                    status,
+                    "text/plain",
+                    &close,
+                    message.as_bytes(),
+                )?;
+                break;
+            }
+        };
+        let mut body = vec![0u8; body_len];
         reader.read_exact(&mut body)?;
 
         match (method.as_str(), target.as_str()) {
@@ -775,27 +733,18 @@ fn handle_connection(
 /// assert every response is byte-identical to one-shot output — a
 /// service-path oracle on top of the sweep's five.
 ///
-/// Each generated program is checked twice (a cold pass and a warm
+/// Each generated program is checked twice (a cold pass and a second
 /// pass that must be a full-result cache hit) in a rotating format
 /// (`human`/`json`/`sarif` by case index), and both passes' rendered
 /// stdout/stderr and exit code are compared against a direct
 /// `check_source` + render of the same bytes. Returns `true` when no
-/// response diverged and every warm pass hit the cache.
+/// response diverged and every second pass hit the cache.
 pub fn serve_replay(seed: u64, count: u64) -> bool {
     use cundef_fuzz::decision::DecisionSource;
     use cundef_fuzz::gen::{generate, Class};
     use cundef_fuzz::rng::case_seed;
 
-    let defaults = ServeDefaults {
-        opts: CheckOptions {
-            phase: Phase::All,
-            engine: Engine::default(),
-            profile: false,
-        },
-        format: Format::Human,
-        quiet: false,
-        fail_on: FailOn::Ub,
-    };
+    let defaults = ServeDefaults::default();
     let core = ServeCore::new(defaults, DEFAULT_CACHE_CAPACITY, 1);
     let formats = [Format::Human, Format::Json, Format::Sarif];
     let mut divergences = 0u64;
@@ -825,7 +774,7 @@ pub fn serve_replay(seed: u64, count: u64) -> bool {
             quiet: false,
             fail_on: FailOn::Ub,
         };
-        for pass in ["cold", "warm"] {
+        for pass in ["cold", "hit"] {
             let resp = core.handle(&req);
             if resp.stdout != expected.stdout
                 || resp.stderr != expected.stderr
@@ -844,27 +793,26 @@ pub fn serve_replay(seed: u64, count: u64) -> bool {
                 eprintln!("  serve stderr:    {}", escaped(&resp.stderr));
                 eprintln!("  one-shot stderr: {}", escaped(&expected.stderr));
             }
-            // The warm pass of the same (bytes, options) must be a
+            // The second pass of the same (bytes, options) must be a
             // full-result hit; the cold pass may itself hit when two
             // cases generate identical source, so it is not asserted.
-            if pass == "warm" && resp.cache != "hit" {
+            if pass == "hit" && resp.cache != "hit" {
                 divergences += 1;
                 eprintln!(
-                    "serve-replay: case {i}: warm pass was `{}`, expected a cache hit",
+                    "serve-replay: case {i}: second pass was `{}`, expected a cache hit",
                     resp.cache
                 );
             }
         }
     }
     println!(
-        "serve-replay: seed {seed}, {count} cases x (cold + warm), formats rotated human/json/sarif"
+        "serve-replay: seed {seed}, {count} cases x (cold + hit), formats rotated human/json/sarif"
     );
     println!(
-        "serve-replay: {} requests, {} full hits, {} misses, {} warm",
+        "serve-replay: {} requests, {} full hits, {} misses",
         core.requests.load(Ordering::Relaxed),
         core.full_hits.load(Ordering::Relaxed),
         core.cold_misses.load(Ordering::Relaxed),
-        core.warm_hits.load(Ordering::Relaxed),
     );
     if divergences == 0 {
         println!("serve-replay: every response byte-identical to one-shot output");
@@ -887,6 +835,7 @@ fn write_http(
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Content Too Large",
         _ => "Internal Server Error",
     };
     let mut head = format!(

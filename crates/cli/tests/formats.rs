@@ -3,10 +3,10 @@
 //! The render seam promises that `--format human`, `--format json`, and
 //! `--format sarif` are three views of the *same* [`FileResult`]s: every
 //! finding agrees across formats on (kind, file, line, column, detail),
-//! sequential and `--batch` output are byte-identical, and both engines
-//! render the same bytes. These tests pin that promise on every shipped
-//! example, and consolidate the CLI exit-code contract (0 defined / 1
-//! undefined / 2 engine failure or usage error) in one place.
+//! and sequential and `--batch` output are byte-identical. These tests
+//! pin that promise on every shipped example, and consolidate the CLI
+//! exit-code contract (0 defined / 1 undefined / 2 engine failure or
+//! usage error) in one place.
 //!
 //! Running the binary here also exercises the location contract: the
 //! test binary is a debug build, so [`FileResult::assert_real_locs`]
@@ -113,11 +113,13 @@ fn exit_code_contract() {
             .code(),
         Some(2)
     );
-    assert_eq!(
-        cundef(&["--engine", "jit", "examples/defined.c"])
-            .status
-            .code(),
-        Some(2)
+    // The execution engine is not a user option: `--engine` is unknown.
+    let engine = cundef(&["--engine", "tree", "examples/defined.c"]);
+    assert_eq!(engine.status.code(), Some(2));
+    assert!(
+        stderr_of(&engine).starts_with("error: unknown option `--engine`"),
+        "{}",
+        stderr_of(&engine)
     );
 
     // The contract holds in every format: the verdict drives the code,
@@ -405,49 +407,47 @@ fn sarif_findings(stdout: &str) -> (Vec<Finding>, Vec<u32>) {
     (findings, columns)
 }
 
-/// On every example, under both engines: the three formats agree on
-/// every finding's (kind/code, file, line, detail, function), JSON and
-/// SARIF agree on column, and the JSON verdict matches what the human
-/// format implies. This is also the SourceLoc audit: every structured
-/// location must be ≥ 1:1, and the debug-build renderer asserts it.
+/// On every example: the three formats agree on every finding's
+/// (kind/code, file, line, detail, function), JSON and SARIF agree on
+/// column, and the JSON verdict matches what the human format implies.
+/// This is also the SourceLoc audit: every structured location must be
+/// ≥ 1:1, and the debug-build renderer asserts it.
 #[test]
 fn formats_agree_on_every_example() {
-    for engine in ["tree", "bytecode"] {
-        for file in all_examples() {
-            let human = cundef(&["--engine", engine, &file]);
-            let json = cundef(&["--engine", engine, "--format", "json", &file]);
-            let sarif = cundef(&["--engine", engine, "--format", "sarif", &file]);
-            assert_eq!(
-                human.status.code(),
-                json.status.code(),
-                "{file}: exit drift human vs json"
-            );
-            assert_eq!(
-                human.status.code(),
-                sarif.status.code(),
-                "{file}: exit drift human vs sarif"
-            );
+    for file in all_examples() {
+        let human = cundef(&[&file]);
+        let json = cundef(&["--format", "json", &file]);
+        let sarif = cundef(&["--format", "sarif", &file]);
+        assert_eq!(
+            human.status.code(),
+            json.status.code(),
+            "{file}: exit drift human vs json"
+        );
+        assert_eq!(
+            human.status.code(),
+            sarif.status.code(),
+            "{file}: exit drift human vs sarif"
+        );
 
-            let hf = human_findings(&stdout_of(&human));
-            let (jf, verdicts) = json_findings(&stdout_of(&json));
-            let (sf, s_columns) = sarif_findings(&stdout_of(&sarif));
-            assert_eq!(hf, jf, "{file} ({engine}): human vs json findings");
-            assert_eq!(jf, sf, "{file} ({engine}): json vs sarif findings");
-            assert_eq!(s_columns.len(), jf.len());
+        let hf = human_findings(&stdout_of(&human));
+        let (jf, verdicts) = json_findings(&stdout_of(&json));
+        let (sf, s_columns) = sarif_findings(&stdout_of(&sarif));
+        assert_eq!(hf, jf, "{file}: human vs json findings");
+        assert_eq!(jf, sf, "{file}: json vs sarif findings");
+        assert_eq!(s_columns.len(), jf.len());
 
-            // Exactly one verdict per file, consistent with the human
-            // view: findings ⇔ undefined, exit code 2 ⇔ error.
-            assert_eq!(verdicts.len(), 1, "{file}: one verdict record");
-            let expected = match human.status.code() {
-                Some(0) => "defined",
-                Some(1) => "undefined",
-                Some(2) => "error",
-                other => panic!("{file}: unexpected exit {other:?}"),
-            };
-            assert_eq!(verdicts[0].1, expected, "{file} ({engine}): verdict");
-            assert_eq!(verdicts[0].0, file);
-            assert_eq!((expected == "undefined"), !jf.is_empty(), "{file}");
-        }
+        // Exactly one verdict per file, consistent with the human
+        // view: findings ⇔ undefined, exit code 2 ⇔ error.
+        assert_eq!(verdicts.len(), 1, "{file}: one verdict record");
+        let expected = match human.status.code() {
+            Some(0) => "defined",
+            Some(1) => "undefined",
+            Some(2) => "error",
+            other => panic!("{file}: unexpected exit {other:?}"),
+        };
+        assert_eq!(verdicts[0].1, expected, "{file}: verdict");
+        assert_eq!(verdicts[0].0, file);
+        assert_eq!((expected == "undefined"), !jf.is_empty(), "{file}");
     }
 }
 
@@ -482,7 +482,7 @@ fn structured_columns_agree() {
 }
 
 // --------------------------------------------------------------------
-// Batch and engine byte-identity per format
+// Batch byte-identity per format
 // --------------------------------------------------------------------
 
 /// For every format, `--batch` stdout is byte-identical to sequential
@@ -503,24 +503,6 @@ fn batch_output_is_byte_identical_per_format() {
             "format {format}: batch stdout differs from sequential"
         );
         assert_eq!(seq.status.code(), batch.status.code(), "format {format}");
-    }
-}
-
-/// For the structured formats, the tree-walker and the bytecode VM
-/// produce byte-identical output on every example (the human-format
-/// counterpart lives in `cli.rs`).
-#[test]
-fn engines_render_identical_structured_output() {
-    for format in ["json", "sarif"] {
-        for file in all_examples() {
-            let tree = cundef(&["--engine", "tree", "--format", format, &file]);
-            let vm = cundef(&["--engine", "bytecode", "--format", format, &file]);
-            assert_eq!(
-                stdout_of(&tree),
-                stdout_of(&vm),
-                "{file}: engines disagree under --format {format}"
-            );
-        }
     }
 }
 

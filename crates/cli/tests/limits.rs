@@ -63,6 +63,18 @@ fn blocks(n: usize) -> String {
     )
 }
 
+/// A call 250 deep through 100 nested blocks per call. The engine's
+/// native recursion is call depth × nesting, which overflowed a 2 MiB
+/// worker stack on the tree-walker.
+fn nested_recursion() -> String {
+    format!(
+        "int f(int n) {{ {} if (n > 0) return f(n - 1); {} return 0; }}\n\
+         int main(void) {{ return f(250); }}\n",
+        "{".repeat(100),
+        "}".repeat(100)
+    )
+}
+
 /// One-shot, `--batch --jobs 2` and serve agree byte for byte on every
 /// path, each exits as `want`, and the daemon still answers a request
 /// queued behind them.
@@ -139,9 +151,10 @@ fn limits_are_accepted_at_and_refused_one_past_in_every_mode() {
             ("chain-past", plus_chain(e + 1)),
             ("blocks-at", blocks(s)),
             ("blocks-past", blocks(s + 1)),
+            ("recursion", nested_recursion()),
         ],
     );
-    assert_same_everywhere(&paths, &[0, 2, 0, 2, 0, 2]);
+    assert_same_everywhere(&paths, &[0, 2, 0, 2, 0, 2, 0]);
     let refused = cundef(&[&paths[1]]);
     let stderr = String::from_utf8(refused.stderr).unwrap();
     assert!(

@@ -1,23 +1,28 @@
-//! End-to-end tests of `cundef serve` over the stdin-JSONL transport.
+//! End-to-end tests of `cundef serve` over the stdin-JSONL transport,
+//! plus the HTTP transport's request-size limits.
 //!
 //! The daemon's contract: a serve response's rendered bytes are
 //! **byte-identical** to what a one-shot `cundef` run prints for the
-//! same file and options — in every format, for both engines, whether
-//! the answer came from a cold check, a warm unit reuse, or a full
-//! cache hit. These tests pin that contract over the whole example
-//! corpus, plus the cache semantics themselves: repeats hit, one-byte
-//! mutations invalidate, option fingerprints never cross-contaminate,
-//! and eviction under a tiny capacity changes performance, not answers.
+//! same file and options — in every format, whether the answer came
+//! from a cold check or a cache hit. These tests pin that contract over
+//! the whole example corpus, plus the cache semantics themselves:
+//! repeats hit, one-byte mutations invalidate, bytes that share a
+//! content hash never share an answer, option fingerprints never
+//! cross-contaminate, and eviction under a tiny capacity changes
+//! performance, not answers.
 //!
 //! Cache-outcome assertions run the daemon with `--jobs 1`: with
 //! parallel workers two identical in-flight requests can race to a
 //! double miss (benign — both compute the same bytes), so outcome
 //! labels are only deterministic single-threaded.
 
+use cundef_cache::content_hash;
 use cundef_ub::json::Json;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
+use std::time::Duration;
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -119,11 +124,11 @@ fn serve_parity_all_examples_all_formats() {
     assert_eq!(responses.len(), examples.len() * 3 * 2 + 1);
     for (i, (file, format, one_shot)) in expected.iter().enumerate() {
         let cold = &responses[i * 2];
-        let warm = &responses[i * 2 + 1];
+        let hit = &responses[i * 2 + 1];
         let want_stdout = String::from_utf8(one_shot.stdout.clone()).unwrap();
         let want_stderr = String::from_utf8(one_shot.stderr.clone()).unwrap();
         let want_exit = one_shot.status.code().expect("one-shot exit") as u64;
-        for (pass, resp) in [("cold", cold), ("warm", warm)] {
+        for (pass, resp) in [("cold", cold), ("hit", hit)] {
             assert_eq!(
                 str_field(resp, "stdout"),
                 want_stdout,
@@ -141,34 +146,11 @@ fn serve_parity_all_examples_all_formats() {
             );
         }
         assert_eq!(
-            str_field(warm, "cache"),
+            str_field(hit, "cache"),
             "hit",
-            "{file} ({format}) warm pass"
+            "{file} ({format}) second pass"
         );
     }
-}
-
-/// Engine choice is part of the cache fingerprint: the same file under
-/// `tree` after `bytecode` is a warm unit reuse (never a cross-engine
-/// result hit), and both render the engine-parity bytes.
-#[test]
-fn serve_engine_fingerprint_isolation() {
-    let input = "\
-        {\"path\": \"examples/unsequenced.c\", \"engine\": \"bytecode\"}\n\
-        {\"path\": \"examples/unsequenced.c\", \"engine\": \"tree\"}\n\
-        {\"cmd\": \"shutdown\"}\n";
-    let responses = serve(&["--jobs", "1"], input);
-    assert_eq!(str_field(&responses[0], "cache"), "miss");
-    assert_eq!(
-        str_field(&responses[1], "cache"),
-        "warm",
-        "same content, new options: frontend skipped, check re-run"
-    );
-    assert_eq!(
-        str_field(&responses[0], "stdout"),
-        str_field(&responses[1], "stdout"),
-        "engine parity holds through the service path"
-    );
 }
 
 /// `--phase` is fingerprinted too, and each response matches the
@@ -197,7 +179,7 @@ fn serve_phase_fingerprint_isolation() {
     // result was cached under its own key and replays as a hit, while
     // the default-phase request in between was a separate entry.
     assert_eq!(str_field(&responses[0], "cache"), "miss");
-    assert_eq!(str_field(&responses[1], "cache"), "warm");
+    assert_eq!(str_field(&responses[1], "cache"), "miss");
     assert_eq!(str_field(&responses[2], "cache"), "hit");
     assert_eq!(
         str_field(&responses[0], "stdout"),
@@ -232,6 +214,69 @@ fn serve_mutation_invalidates() {
         str_field(&responses[0], "stdout"),
         str_field(&responses[2], "stdout")
     );
+}
+
+/// Two programs whose bytes share a 64-bit content hash: the first is
+/// defined and returns 1, the second divides by zero.
+const COLLIDING: [&str; 2] = [
+    "int main(void) { return 1 / (int)(0xba3baf2af8f20d2d % 2); }",
+    "int main(void) { return 1 / (int)(0x0161f1e5799913c2 % 2); }",
+];
+
+/// A content-hash match is not enough for a hit: in either order, the
+/// second of two colliding programs misses, is counted as a miss, and
+/// gets its own one-shot bytes.
+#[test]
+fn serve_hash_collision_is_a_miss() {
+    assert_ne!(COLLIDING[0], COLLIDING[1]);
+    assert_eq!(
+        content_hash(COLLIDING[0].as_bytes()),
+        content_hash(COLLIDING[1].as_bytes()),
+        "the fixture must stay a real collision"
+    );
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("serve-collision");
+    std::fs::create_dir_all(&dir).expect("temporary directory");
+    let paths: Vec<String> = COLLIDING
+        .iter()
+        .enumerate()
+        .map(|(i, source)| {
+            let path = dir.join(format!("collision-{i}.c"));
+            std::fs::write(&path, source).expect("write input");
+            path.display().to_string()
+        })
+        .collect();
+    let one_shot: Vec<Output> = paths.iter().map(|p| cundef(&[p])).collect();
+    assert_eq!(one_shot[0].status.code(), Some(0));
+    assert_eq!(one_shot[1].status.code(), Some(1));
+    for order in [[0, 1], [1, 0]] {
+        let mut input = String::new();
+        for &i in &order {
+            input.push_str(&format!(
+                "{{\"path\": {}}}\n",
+                cundef_ub::json::escaped(&paths[i])
+            ));
+        }
+        input.push_str("{\"cmd\": \"stats\"}\n{\"cmd\": \"shutdown\"}\n");
+        let responses = serve(&["--jobs", "1"], &input);
+        for (resp, &i) in responses.iter().zip(&order) {
+            assert_eq!(str_field(resp, "cache"), "miss", "order {order:?}");
+            let want = &one_shot[i];
+            assert_eq!(
+                str_field(resp, "stdout").as_bytes(),
+                want.stdout,
+                "order {order:?}: program {i} stdout"
+            );
+            assert_eq!(str_field(resp, "stderr").as_bytes(), want.stderr);
+            assert_eq!(
+                Some(num_field(resp, "exit") as i32),
+                want.status.code(),
+                "order {order:?}: program {i} exit"
+            );
+        }
+        let stats = &responses[2];
+        assert_eq!(num_field(stats, "full_hits"), 0, "order {order:?}");
+        assert_eq!(num_field(stats, "cold_misses"), 2, "order {order:?}");
+    }
 }
 
 /// The same bytes under a different label replay from the cache, with
@@ -337,6 +382,32 @@ fn serve_fail_on_thresholds() {
     assert_eq!(num_field(&responses[4], "exit"), 0);
 }
 
+/// A request `engine` field is ignored like any other unknown field:
+/// the program runs on the VM, and the daemon answers the request
+/// behind it. The program recurses 250 calls deep through 100 nested
+/// blocks per call, which exhausted a worker's stack on the tree-walker.
+#[test]
+fn serve_ignores_a_request_engine_field() {
+    let source = format!(
+        "int f(int n) {{ {} if (n > 0) return f(n - 1); {} return 0; }}\n\
+         int main(void) {{ return f(250); }}\n",
+        "{".repeat(100),
+        "}".repeat(100)
+    );
+    let input = format!(
+        "{{\"source\": {}, \"engine\": \"tree\"}}\n\
+         {{\"path\": \"examples/defined.c\"}}\n\
+         {{\"cmd\": \"shutdown\"}}\n",
+        cundef_ub::json::escaped(&source)
+    );
+    let responses = serve(&["--jobs", "2"], &input);
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    assert_eq!(str_field(&responses[0], "verdict"), "defined");
+    assert_eq!(num_field(&responses[0], "exit"), 0);
+    assert_eq!(str_field(&responses[1], "path"), "examples/defined.c");
+    assert_eq!(str_field(&responses[1], "verdict"), "defined");
+}
+
 /// Malformed lines and unknown commands get error envelopes; the
 /// daemon keeps serving afterwards.
 #[test]
@@ -378,4 +449,72 @@ fn serve_responses_in_request_order() {
         let want = if i % 2 == 0 { "defined" } else { "undefined" };
         assert_eq!(str_field(resp, "verdict"), want);
     }
+}
+
+// --------------------------------------------------------------------
+// HTTP request limits
+// --------------------------------------------------------------------
+
+/// Send one raw HTTP request on a new connection and return everything
+/// the daemon writes before it closes the connection.
+fn http_exchange(addr: &str, request: &str) -> String {
+    let mut conn = TcpStream::connect(addr).expect("connect to the daemon");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    conn.write_all(request.as_bytes()).expect("send request");
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply).expect("read reply");
+    reply
+}
+
+/// A `Content-Length` over the body limit is refused with 413 and an
+/// unparseable one with 400, each before any body is read and with the
+/// connection closed; the daemon goes on answering new connections.
+#[test]
+fn http_refuses_oversized_and_unparseable_bodies() {
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_cundef"))
+        .current_dir(workspace_root())
+        .args(["serve", "--listen", "127.0.0.1:0", "--jobs", "1"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("daemon should spawn");
+    let mut stderr = BufReader::new(daemon.stderr.take().expect("stderr piped"));
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).expect("listening banner");
+    let addr = banner
+        .trim()
+        .strip_prefix("cundef serve: listening on http://")
+        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
+        .to_string();
+
+    for (length, status) in [
+        ("1099511627776", "413"),
+        // One byte over the daemon's `MAX_BODY_BYTES` (1 MiB).
+        ("1048577", "413"),
+        ("lots", "400"),
+        ("-1", "400"),
+    ] {
+        let reply = http_exchange(
+            &addr,
+            &format!("POST /check HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"),
+        );
+        assert!(
+            reply.starts_with(&format!("HTTP/1.1 {status} ")),
+            "Content-Length {length}: {reply}"
+        );
+        assert!(reply.contains("Connection: close\r\n"), "{reply}");
+        let health = http_exchange(&addr, "GET /health HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.1 200 "), "{health}");
+        assert!(health.ends_with("\r\n\r\nok\n"), "{health}");
+    }
+
+    let bye = http_exchange(
+        &addr,
+        "POST /shutdown HTTP/1.1\r\nConnection: close\r\n\r\n",
+    );
+    assert!(bye.starts_with("HTTP/1.1 200 "), "{bye}");
+    let status = daemon.wait().expect("daemon should exit");
+    assert_eq!(status.code(), Some(0));
 }

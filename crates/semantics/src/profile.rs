@@ -58,7 +58,7 @@ const ELIDED_BOUNDARIES: &[&str] = &[
 /// enabled on the interpreter.
 ///
 /// The bytecode engine fills everything; the tree-walker (reference
-/// semantics) has no opcodes or fast paths, so under `--engine tree`
+/// semantics) has no opcodes or fast paths, so under `Engine::Tree`
 /// only the step and memory counters are meaningful.
 ///
 /// # Examples

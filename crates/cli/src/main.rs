@@ -115,8 +115,8 @@ enum StatsMode {
 const SERVE_USAGE: &str = "\
 cundef serve — long-running checking service with an incremental cache
 
-Accepts translation units as JSONL requests on stdin and/or over a
-local HTTP endpoint, shards them across a persistent worker pool, and
+Accepts translation units as JSONL requests on stdin or over a local
+HTTP endpoint, shards them across a persistent worker pool, and
 memoizes results in a content-hash cache so repeat traffic is nearly
 free. Responses are byte-identical to one-shot `cundef` output for the
 same file and options, in every format.
@@ -125,23 +125,23 @@ USAGE:
     cundef serve [OPTIONS]
 
 REQUEST (one JSON object per stdin line, or POST /check body):
-    {\"path\": \"examples/defined.c\"}            check a file on disk
+    {\"path\": \"examples/defined.c\"}            check a file on disk (stdin only)
     {\"source\": \"int main(void){return 0;}\"}   check inline source
     optional per-request fields: \"id\" (echoed), \"path\" (label for
     inline source), \"phase\", \"format\", \"quiet\", \"fail_on\",
     \"profile\"
     commands: {\"cmd\": \"stats\"}  {\"cmd\": \"shutdown\"}
 
-HTTP (with --listen): POST /check (request object as body; rendered
-    report as response body, verdict/exit/cache in X-Cundef-* headers),
-    GET /stats, GET /health, POST /shutdown.
+HTTP (with --listen): POST /check (request object with inline
+    \"source\" as body; rendered report as response body,
+    verdict/exit/cache in X-Cundef-* headers), GET /stats, GET /health,
+    POST /shutdown. Without --listen the daemon serves stdin, and EOF
+    shuts it down.
 
 OPTIONS:
     --listen ADDR      Serve HTTP on ADDR (e.g. 127.0.0.1:8123; port 0
                        picks a free port; the bound address is printed
                        on stderr)
-    --stdin            Service stdin-JSONL requests (the default when
-                       --listen is not given; EOF shuts the daemon down)
     --jobs N           Worker threads (default: available parallelism)
     --cache-capacity N Entries in the result cache (default 4096)
     --phase PHASE      Default phase for requests (as in `cundef`)
@@ -353,9 +353,7 @@ fn serve_main(args: Vec<String>) -> ExitCode {
         jobs: 0,
         cache_capacity: serve::DEFAULT_CACHE_CAPACITY,
         listen: None,
-        stdin: false,
     };
-    let mut stdin_explicit = false;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -370,7 +368,6 @@ fn serve_main(args: Vec<String>) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--stdin" => stdin_explicit = true,
             "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n > 0 => cfg.jobs = n,
                 _ => {
@@ -421,7 +418,6 @@ fn serve_main(args: Vec<String>) -> ExitCode {
             }
         }
     }
-    cfg.stdin = stdin_explicit || cfg.listen.is_none();
     ExitCode::from(serve::run_serve(cfg))
 }
 

@@ -13,14 +13,16 @@
 //!   JSON response object per line on stdout, *in request order* (a
 //!   reorder buffer sequences worker completions). In-band commands:
 //!   `{"cmd": "stats"}` and `{"cmd": "shutdown"}`. EOF also shuts down.
-//! - **HTTP** (`--listen ADDR`) — `POST /check` with the same request
-//!   object as the body returns the rendered report verbatim as the
-//!   response body (verdict/exit/cache outcome in `X-Cundef-*`
-//!   headers), plus `GET /stats`, `GET /health`, and `POST /shutdown`.
-//!   Connections are keep-alive; each parsed request is dispatched to
-//!   the worker pool. A body over [`MAX_BODY_BYTES`] is refused with
-//!   413 and an unparseable `Content-Length` with 400, each closing the
-//!   connection before any body byte is read.
+//! - **HTTP** (`--listen ADDR`, instead of stdin) — `POST /check` with
+//!   the same request object as the body returns the rendered report
+//!   verbatim as the response body (verdict/exit/cache outcome in
+//!   `X-Cundef-*` headers), plus `GET /stats`, `GET /health`, and
+//!   `POST /shutdown`. Connections are keep-alive; each parsed request
+//!   is dispatched to the worker pool. A request must carry inline
+//!   `source`: a `path` alone gets 400, so a peer cannot make the
+//!   daemon read its files. A body over [`MAX_BODY_BYTES`] is refused
+//!   with 413 and an unparseable `Content-Length` with 400, each
+//!   closing the connection before any body byte is read.
 //!
 //! In front of the workers sits the content-hash incremental cache
 //! (`cundef-cache`): one *result* cache keyed by (source-bytes hash,
@@ -64,10 +66,8 @@ pub struct ServeConfig {
     pub jobs: usize,
     /// Capacity of the result cache, in entries.
     pub cache_capacity: usize,
-    /// HTTP listen address (e.g. `127.0.0.1:0`), when HTTP is wanted.
+    /// HTTP listen address (e.g. `127.0.0.1:0`); stdin-JSONL when unset.
     pub listen: Option<String>,
-    /// Service stdin-JSONL requests. Defaults on when `listen` is off.
-    pub stdin: bool,
 }
 
 /// One parsed check request (transport-independent).
@@ -75,8 +75,8 @@ pub struct ServeConfig {
 pub struct CheckRequest {
     /// Pass-through correlation id, echoed in the JSONL envelope.
     pub id: Option<u64>,
-    /// The label used in diagnostics; also the file to read when no
-    /// inline `source` is given.
+    /// The label used in diagnostics; over stdin, also the file to read
+    /// when no inline `source` is given.
     pub path: String,
     /// Inline source bytes (a translation unit shipped in-band).
     pub source: Option<String>,
@@ -393,46 +393,39 @@ pub fn run_serve(cfg: ServeConfig) -> u8 {
     };
     let core = Arc::new(ServeCore::new(cfg.defaults, cfg.cache_capacity, workers));
     let pool = Arc::new(WorkerPool::new(workers));
+
+    let Some(addr) = &cfg.listen else {
+        // stdin-JSONL: EOF or `shutdown` ends the service.
+        stdin_loop(&core, &pool);
+        eprintln!("{}", core.summary());
+        return 0;
+    };
+    let listener = match TcpListener::bind(addr) {
+        Ok(l) => l,
+        Err(e) => {
+            eprintln!("cundef serve: cannot listen on {addr}: {e}");
+            return 2;
+        }
+    };
+    let local = listener
+        .local_addr()
+        .map(|a| a.to_string())
+        .unwrap_or_else(|_| addr.clone());
+    eprintln!("cundef serve: listening on http://{local}");
     let stop = Arc::new(AtomicBool::new(false));
     let done = Arc::new((Mutex::new(false), Condvar::new()));
-
-    let mut http_addr = None;
-    if let Some(addr) = &cfg.listen {
-        let listener = match TcpListener::bind(addr) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("cundef serve: cannot listen on {addr}: {e}");
-                return 2;
-            }
-        };
-        let local = listener
-            .local_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| addr.clone());
-        eprintln!("cundef serve: listening on http://{local}");
-        http_addr = Some(local);
+    {
         let core = Arc::clone(&core);
-        let pool = Arc::clone(&pool);
-        let stop = Arc::clone(&stop);
         let done = Arc::clone(&done);
         std::thread::spawn(move || http_accept_loop(listener, core, pool, stop, done));
     }
-
-    if cfg.stdin {
-        stdin_loop(&core, &pool);
-        // stdin closing ends the whole service, HTTP included.
-        stop.store(true, Ordering::SeqCst);
-        if let Some(addr) = &http_addr {
-            let _ = TcpStream::connect(addr); // wake the accept loop
-        }
-    } else {
-        // HTTP-only: park until /shutdown.
-        let (lock, cv) = &*done;
-        let mut finished = lock.lock().expect("shutdown flag poisoned");
-        while !*finished {
-            finished = cv.wait(finished).expect("shutdown flag poisoned");
-        }
+    // Park until /shutdown.
+    let (lock, cv) = &*done;
+    let mut finished = lock.lock().expect("shutdown flag poisoned");
+    while !*finished {
+        finished = cv.wait(finished).expect("shutdown flag poisoned");
     }
+    drop(finished);
     eprintln!("{}", core.summary());
     0
 }
@@ -649,7 +642,12 @@ fn handle_connection(
                     .ok()
                     .and_then(Json::parse)
                     .ok_or_else(|| "request body is not valid JSON".to_string())
-                    .and_then(|v| core.parse_request(&v));
+                    .and_then(|v| match v.get("source").and_then(Json::as_str) {
+                        Some(_) => core.parse_request(&v),
+                        // The daemon reads no files for a remote peer:
+                        // one fixed answer, whatever the `path`.
+                        None => Err("an HTTP request needs inline `source`".to_string()),
+                    });
                 match parsed {
                     Err(msg) => {
                         let body = format!("{}\n", error_jsonl(None, &msg));

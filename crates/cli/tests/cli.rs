@@ -57,21 +57,23 @@ fn detects_every_readme_family_across_examples() {
         ("examples/goto_vla.c", "00076"),
     ];
     for (file, code) in cases {
-        let out = cundef(&[file]);
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert_eq!(
-            out.status.code(),
-            Some(1),
-            "{file} should be undefined\n{stdout}"
-        );
-        assert!(
-            stdout.contains(&format!("Error: {code}")),
-            "{file}: expected code {code}, got:\n{stdout}"
-        );
-        assert!(
-            stdout.contains("of ISO/IEC 9899:2011"),
-            "{file} must cite C11:\n{stdout}"
-        );
+        for mode in [&[file][..], &["--batch", file][..]] {
+            let out = cundef(mode);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{file} {mode:?} should be undefined\n{stdout}"
+            );
+            assert!(
+                stdout.contains(&format!("Error: {code}")),
+                "{file} {mode:?}: expected code {code}, got:\n{stdout}"
+            );
+            assert!(
+                stdout.contains("of ISO/IEC 9899:2011"),
+                "{file} must cite C11:\n{stdout}"
+            );
+        }
     }
 }
 
@@ -201,30 +203,31 @@ fn batch_mode_matches_sequential_verdicts_and_output() {
         files.len() >= 12,
         "example sweep looks too small: {files:?}"
     );
-    let refs: Vec<&str> = files.iter().map(String::as_str).collect();
+    // Both sweeps exit 1: the translation phase alone flags the static
+    // examples.
+    for phase in [&[][..], &["--phase", "translation"][..]] {
+        let mut args = phase.to_vec();
+        args.extend(files.iter().map(String::as_str));
+        let sequential = cundef(&args);
+        assert_eq!(sequential.status.code(), Some(1), "{phase:?}");
 
-    let sequential = cundef(&refs);
-    let mut batch_args = vec!["--batch"];
-    batch_args.extend(&refs);
-    let batch = cundef(&batch_args);
+        let batch = cundef(&[&["--batch"][..], &args].concat());
+        assert_eq!(batch.status.code(), Some(1), "{phase:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&batch.stdout),
+            String::from_utf8_lossy(&sequential.stdout),
+            "{phase:?}: batch stdout must be byte-identical to sequential"
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&batch.stderr),
+            String::from_utf8_lossy(&sequential.stderr),
+        );
 
-    assert_eq!(batch.status.code(), sequential.status.code());
-    assert_eq!(
-        String::from_utf8_lossy(&batch.stdout),
-        String::from_utf8_lossy(&sequential.stdout),
-        "batch stdout must be byte-identical to sequential"
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&batch.stderr),
-        String::from_utf8_lossy(&sequential.stderr),
-    );
-
-    // And with an explicit worker count exceeding the file count.
-    let mut jobs_args = vec!["--batch", "--jobs", "32"];
-    jobs_args.extend(&refs);
-    let with_jobs = cundef(&jobs_args);
-    assert_eq!(with_jobs.status.code(), sequential.status.code());
-    assert_eq!(with_jobs.stdout, sequential.stdout);
+        // And with an explicit worker count exceeding the file count.
+        let with_jobs = cundef(&[&["--batch", "--jobs", "32"][..], &args].concat());
+        assert_eq!(with_jobs.status.code(), Some(1), "{phase:?}");
+        assert_eq!(with_jobs.stdout, sequential.stdout, "{phase:?}");
+    }
 }
 
 /// The CLI runs the bytecode VM; `engine_parity.rs` runs both examples
@@ -276,6 +279,7 @@ fn static_examples_are_flagged_without_being_executed() {
     for (file, code, decoy) in STATIC_EXAMPLES {
         for mode in [
             &["--phase", "translation", file][..],
+            &["--batch", "--phase", "translation", file][..],
             &[file][..],
             &["--batch", file][..],
         ] {
@@ -317,9 +321,17 @@ fn phase_execution_reaches_the_decoy_instead() {
 
 #[test]
 fn phase_translation_passes_clean_and_dynamic_only_files() {
-    // defined.c is clean in both phases; division_by_zero.c is only
-    // dynamically undefined, so the translation phase alone passes it.
-    for file in ["examples/defined.c", "examples/division_by_zero.c"] {
+    // defined.c is clean in both phases; the others are only dynamically
+    // undefined — the byte-model ones (alignment, effective types,
+    // per-byte init) included — so the translation phase alone passes
+    // them.
+    for file in [
+        "examples/defined.c",
+        "examples/division_by_zero.c",
+        "examples/misaligned.c",
+        "examples/alias_write.c",
+        "examples/uninit_byte.c",
+    ] {
         let out = cundef(&["--phase", "translation", file]);
         assert_eq!(out.status.code(), Some(0), "{file}");
         let stdout = String::from_utf8_lossy(&out.stdout);

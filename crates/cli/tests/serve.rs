@@ -1,5 +1,6 @@
 //! End-to-end tests of `cundef serve` over the stdin-JSONL transport,
-//! plus the HTTP transport's request-size limits.
+//! plus the HTTP transport's request limits (body size, inline
+//! `source` only).
 //!
 //! The daemon's contract: a serve response's rendered bytes are
 //! **byte-identical** to what a one-shot `cundef` run prints for the
@@ -21,7 +22,7 @@ use cundef_ub::json::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
+use std::process::{Child, Command, Output, Stdio};
 use std::time::Duration;
 
 fn workspace_root() -> PathBuf {
@@ -428,6 +429,60 @@ fn serve_error_envelopes() {
     assert_eq!(str_field(&responses[3], "verdict"), "defined");
 }
 
+/// stdin is served exactly when `--listen` is absent: there is no
+/// `--stdin` switch.
+#[test]
+fn serve_has_no_stdin_option() {
+    let out = cundef(&["serve", "--stdin"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown serve option `--stdin`"),
+        "{stderr}"
+    );
+}
+
+/// A call that returns without a value, used as the left operand of
+/// each fused binary shape, is Error 00052 one-shot, under `--batch`
+/// and through the daemon.
+#[test]
+fn missing_return_value_is_caught_in_every_mode() {
+    const SHAPES: [&str; 4] = [
+        "return f() + x;",
+        "int y = 2; return f() * (x + y);",
+        "int y; y = f() - x; return y;",
+        "while (f() < x) { x = 0; } return 0;",
+    ];
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("missing-return");
+    std::fs::create_dir_all(&dir).expect("temporary directory");
+    let mut input = String::new();
+    for (i, shape) in SHAPES.iter().enumerate() {
+        let source = format!("int f(void) {{ }}\nint main(void) {{ int x = 1; {shape} }}\n");
+        let path = dir.join(format!("shape-{i}.c"));
+        std::fs::write(&path, &source).expect("write input");
+        let path = path.display().to_string();
+        for args in [&[path.as_str()][..], &["--batch", path.as_str()][..]] {
+            let out = cundef(args);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(1), "{args:?}\n{stdout}");
+            assert!(stdout.contains("Error: 00052"), "{args:?}\n{stdout}");
+        }
+        input.push_str(&format!(
+            "{{\"source\": {}}}\n",
+            cundef_ub::json::escaped(&source)
+        ));
+    }
+    let responses = serve(&[], &input);
+    assert_eq!(responses.len(), SHAPES.len());
+    for (resp, shape) in responses.iter().zip(SHAPES) {
+        assert_eq!(num_field(resp, "exit"), 1, "{shape}");
+        assert!(
+            str_field(resp, "stdout").contains("Error: 00052"),
+            "{shape}: {resp:?}"
+        );
+    }
+}
+
 /// Responses come back in request order even when many requests are in
 /// flight across parallel workers.
 #[test]
@@ -467,11 +522,20 @@ fn http_exchange(addr: &str, request: &str) -> String {
     reply
 }
 
-/// A `Content-Length` over the body limit is refused with 413 and an
-/// unparseable one with 400, each before any body is read and with the
-/// connection closed; the daemon goes on answering new connections.
-#[test]
-fn http_refuses_oversized_and_unparseable_bodies() {
+/// A running daemon, killed on drop so a failing test leaves no
+/// process behind.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Start `cundef serve --listen 127.0.0.1:0 --jobs 1` and return the
+/// daemon with the address it printed.
+fn http_daemon() -> (Daemon, String) {
     let mut daemon = Command::new(env!("CARGO_BIN_EXE_cundef"))
         .current_dir(workspace_root())
         .args(["serve", "--listen", "127.0.0.1:0", "--jobs", "1"])
@@ -488,7 +552,43 @@ fn http_refuses_oversized_and_unparseable_bodies() {
         .strip_prefix("cundef serve: listening on http://")
         .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
         .to_string();
+    // Keep the pipe open: the daemon prints a summary when it exits.
+    daemon.stderr = Some(stderr.into_inner());
+    (Daemon(daemon), addr)
+}
 
+/// `POST /shutdown`, then assert the daemon exits 0.
+fn http_shutdown(mut daemon: Daemon, addr: &str) {
+    let bye = http_exchange(addr, "POST /shutdown HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert!(bye.starts_with("HTTP/1.1 200 "), "{bye}");
+    let status = daemon.0.wait().expect("daemon should exit");
+    assert_eq!(status.code(), Some(0));
+}
+
+/// `POST /check` of `body` on a new connection.
+fn http_check(addr: &str, body: &str) -> String {
+    http_exchange(
+        addr,
+        &format!(
+            "POST /check HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        ),
+    )
+}
+
+/// `GET /health` still answers `ok`.
+fn assert_health(addr: &str) {
+    let health = http_exchange(addr, "GET /health HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert!(health.starts_with("HTTP/1.1 200 "), "{health}");
+    assert!(health.ends_with("\r\n\r\nok\n"), "{health}");
+}
+
+/// A `Content-Length` over the body limit is refused with 413 and an
+/// unparseable one with 400, each before any body is read and with the
+/// connection closed; the daemon goes on answering new connections.
+#[test]
+fn http_refuses_oversized_and_unparseable_bodies() {
+    let (daemon, addr) = http_daemon();
     for (length, status) in [
         ("1099511627776", "413"),
         // One byte over the daemon's `MAX_BODY_BYTES` (1 MiB).
@@ -505,16 +605,36 @@ fn http_refuses_oversized_and_unparseable_bodies() {
             "Content-Length {length}: {reply}"
         );
         assert!(reply.contains("Connection: close\r\n"), "{reply}");
-        let health = http_exchange(&addr, "GET /health HTTP/1.1\r\nConnection: close\r\n\r\n");
-        assert!(health.starts_with("HTTP/1.1 200 "), "{health}");
-        assert!(health.ends_with("\r\n\r\nok\n"), "{health}");
+        assert_health(&addr);
     }
+    http_shutdown(daemon, &addr);
+}
 
-    let bye = http_exchange(
-        &addr,
-        "POST /shutdown HTTP/1.1\r\nConnection: close\r\n\r\n",
+/// Over HTTP the daemon reads no files: a request without inline
+/// `source` gets one fixed 400 reply, so an existing and a missing path
+/// are indistinguishable. Inline source is checked as usual.
+#[test]
+fn http_check_requires_inline_source() {
+    let (daemon, addr) = http_daemon();
+    let existing = http_check(&addr, "{\"path\": \"examples/defined.c\"}");
+    let missing = http_check(&addr, "{\"path\": \"examples/no_such_file.c\"}");
+    assert!(existing.starts_with("HTTP/1.1 400 "), "{existing}");
+    assert_eq!(existing, missing, "the reply must not tell the paths apart");
+    assert_health(&addr);
+
+    let source = std::fs::read_to_string(workspace_root().join("examples/unsequenced.c"))
+        .expect("read example");
+    let body = format!(
+        "{{\"source\": {}, \"path\": \"examples/unsequenced.c\"}}",
+        cundef_ub::json::escaped(&source)
     );
-    assert!(bye.starts_with("HTTP/1.1 200 "), "{bye}");
-    let status = daemon.wait().expect("daemon should exit");
-    assert_eq!(status.code(), Some(0));
+    let reply = http_check(&addr, &body);
+    assert!(reply.starts_with("HTTP/1.1 200 "), "{reply}");
+    assert!(reply.contains("X-Cundef-Exit: 1\r\n"), "{reply}");
+    let one_shot = cundef(&["examples/unsequenced.c"]);
+    assert!(
+        reply.ends_with(&*String::from_utf8_lossy(&one_shot.stdout)),
+        "{reply}"
+    );
+    http_shutdown(daemon, &addr);
 }

@@ -170,6 +170,7 @@ impl<'a> Interp<'a> {
                     let f = code.fused[i as usize];
                     let r =
                         self.load_slot_fast::<PROFILE>(fc, slot_base, f.a_slot, f.a_ty, f.a_loc)?;
+                    let l = self.use_value(l, loc)?;
                     let v = self.apply_binop(f.op, l, r, loc)?;
                     self.vstack.push(v);
                 }
@@ -188,6 +189,9 @@ impl<'a> Interp<'a> {
                         f2.inner_const,
                         f2.inner_loc,
                     )?;
+                    // The tree's order: eval l, eval r, then use l (a
+                    // popped call result may be missing or void).
+                    let l = self.use_value(l, loc)?;
                     let v = self.apply_binop(f2.op, l, r, loc)?;
                     self.vstack.push(v);
                 }

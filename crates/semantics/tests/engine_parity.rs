@@ -103,6 +103,16 @@ fn ub_diagnostics_match_across_engines_in_detail() {
         "int main(void) { int i = 0; int s = 0;\n\
          again: s = s + i; i = i + 1; if (i < 5) goto again;\n\
          return s == 10 ? 0 : 1; }",
+        // a missing return value used as the left operand of each fused
+        // binary shape (Error 00052): `BinVS`, `Bin2VF`, an assignment's
+        // right side and a loop condition
+        "int f(void) { } int main(void) { int x = 1; return f() + x; }",
+        "int f(void) { } int main(void) { int x = 1; int y = 2; return f() * (x + y); }",
+        "int f(void) { } int main(void) { int x = 1; int y; y = f() - x; return y; }",
+        "int f(void) { } int main(void) { int x = 1; while (f() < x) { x = 0; } return 0; }",
+        "int f(void) { } int main(void) { return f() + 1; }",
+        // …and a void call's value in the same place (Error 00073)
+        "void g(void) { } int main(void) { int x = 1; return g() + x; }",
     ];
     for src in PROGRAMS {
         assert_parity(src, "diagnostic program");

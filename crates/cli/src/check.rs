@@ -16,7 +16,7 @@
 //! fuzzer hold the VM to.
 
 use cundef_analysis::analyze;
-use cundef_semantics::eval::{Interp, Limits, Outcome};
+use cundef_semantics::eval::{Interp, Limits};
 use cundef_semantics::intern::kw;
 use cundef_semantics::{compile_unit, parser, ExecProfile};
 use cundef_ub::render::{
@@ -26,13 +26,14 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// Which checking phases to run on each file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Phase {
     /// Static analysis only; nothing is executed.
     Translation,
     /// Execution only (the pre-analysis behavior).
     Execution,
     /// Translation first; execution only for files that pass it.
+    #[default]
     All,
 }
 
@@ -49,9 +50,10 @@ impl Phase {
 }
 
 /// Output format behind `--format`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Format {
     /// kcc-style terminal reports.
+    #[default]
     Human,
     /// JSON Lines.
     Json,
@@ -90,11 +92,12 @@ impl Format {
 ///   not finish) exit 2.
 /// - [`FailOn::Never`] — always exit 0 once the run completes (usage
 ///   errors still exit 2 before any checking starts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailOn {
     /// Fail only on engine failures.
     Error,
     /// Fail on undefined behavior (and engine failures) — the default.
+    #[default]
     Ub,
     /// Never fail.
     Never,
@@ -138,7 +141,7 @@ impl FailOn {
 }
 
 /// Per-file checking knobs (everything except rendering).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CheckOptions {
     /// Which phases run.
     pub phase: Phase,
@@ -382,27 +385,8 @@ pub fn check_source(
     // conversions this implementation resolves by two's-complement wrap)
     // print before the verdict: they describe defined behavior the
     // program relied on, whatever the verdict turns out to be.
-    result.notes = interp.notes().to_vec();
-    match outcome {
-        Outcome::Completed(exit) => {
-            result.success = Some(format!(
-                "no undefined behavior detected (program returned {exit})"
-            ));
-            result.exit = Some(exit);
-        }
-        Outcome::Undefined(report) => {
-            result.verdict = Verdict::Undefined;
-            result.findings = vec![report.to_diagnostic()];
-        }
-        Outcome::Unsupported { message, loc } => {
-            result.verdict = Verdict::EngineFailure;
-            result
-                .errors
-                .push(format!("checker limitation at {loc}: {message}"));
-        }
-    }
     Checked {
-        result,
+        result: outcome.into_result(path, interp.notes().to_vec()),
         stats,
         profile: interp.profile(),
     }

@@ -39,7 +39,7 @@ mod serve;
 use check::{check_file, render_profile, CheckOptions, Checked, FailOn, Format, Phase, PhaseStats};
 use cundef_ub::render::{Rendered, Verdict};
 use cundef_ub::{catalog, catalog_counts, Detectability};
-use pool::check_batch;
+use pool::{check_batch, WorkerPool};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -144,10 +144,6 @@ OPTIONS:
                        on stderr)
     --jobs N           Worker threads (default: available parallelism)
     --cache-capacity N Entries in the result cache (default 4096)
-    --phase PHASE      Default phase for requests (as in `cundef`)
-    --format F         Default format for requests
-    --fail-on T        Default exit-code threshold for responses
-    -q, --quiet        Default quiet flag for human-format responses
     -h, --help         Print this help
 
 EXIT STATUS:
@@ -190,101 +186,99 @@ EXIT STATUS:
     0  no divergence          1  at least one divergence    2  usage error";
 
 fn main() -> ExitCode {
-    let mut raw = std::env::args().skip(1).peekable();
-    match raw.peek().map(String::as_str) {
-        Some("fuzz") => {
-            raw.next();
-            return fuzz_main(raw.collect());
-        }
-        Some("serve") => {
-            raw.next();
-            return serve_main(raw.collect());
-        }
-        _ => {}
-    }
-    drop(raw);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let run = match args.first().map(String::as_str) {
+        Some("serve") => serve_main(&args[1..]).map_err(|e| (e, SERVE_USAGE)),
+        Some("fuzz") => fuzz_main(&args[1..]).map_err(|e| (e, FUZZ_USAGE)),
+        _ => check_main(&args).map_err(|e| (e, USAGE)),
+    };
+    run.unwrap_or_else(|(message, usage)| {
+        complain!("error: {message}\n\n{usage}");
+        ExitCode::from(2)
+    })
+}
+
+/// The value after the flag `flag`, parsed by `parse`. A missing or
+/// unparsable value is the usage error that says what `flag` needs.
+fn value<'a, T>(
+    args: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+    needs: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    args.next()
+        .and_then(|v| parse(v))
+        .ok_or_else(|| format!("`{flag}` needs {needs}"))
+}
+
+/// A positive integer flag value.
+fn positive<T: std::str::FromStr + Default + PartialOrd>(v: &str) -> Option<T> {
+    v.parse().ok().filter(|n| *n > T::default())
+}
+
+/// One-shot checking: parse flags, check every file, render, and
+/// return the exit code.
+fn check_main(args: &[String]) -> Result<ExitCode, String> {
     let mut files = Vec::new();
     let mut quiet = false;
     let mut batch = false;
     let mut jobs: Option<usize> = None;
-    let mut phase = Phase::All;
-    let mut format = Format::Human;
-    let mut fail_on = FailOn::Ub;
+    let mut opts = CheckOptions::default();
+    let mut format = Format::default();
+    let mut fail_on = FailOn::default();
     let mut stats = StatsMode::Off;
-    let mut profile = false;
     let mut no_more_options = false;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.iter();
     while let Some(arg) = args.next() {
         if no_more_options {
-            files.push(arg);
+            files.push(arg.clone());
             continue;
         }
         match arg.as_str() {
             "--" => no_more_options = true,
-            "--phase" => match args.next().as_deref().and_then(Phase::parse) {
-                Some(p) => phase = p,
-                None => {
-                    complain!(
-                        "error: `--phase` needs `translation`, `execution`, or `all`\n\n{USAGE}"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match args.next().as_deref().and_then(Format::parse) {
-                Some(f) => format = f,
-                None => {
-                    complain!("error: `--format` needs `human`, `json`, or `sarif`\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--fail-on" => match args.next().as_deref().and_then(FailOn::parse) {
-                Some(f) => fail_on = f,
-                None => {
-                    complain!("error: `--fail-on` needs `error`, `ub`, or `never`\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
+            "--phase" => {
+                opts.phase = value(
+                    &mut args,
+                    arg,
+                    "`translation`, `execution`, or `all`",
+                    Phase::parse,
+                )?
+            }
+            "--format" => {
+                format = value(&mut args, arg, "`human`, `json`, or `sarif`", Format::parse)?
+            }
+            "--fail-on" => {
+                fail_on = value(&mut args, arg, "`error`, `ub`, or `never`", FailOn::parse)?
+            }
             "--stats" => stats = StatsMode::Human,
             "--stats=json" => stats = StatsMode::Json,
-            "--profile" => profile = true,
+            "--profile" => opts.profile = true,
             "-h" | "--help" => {
                 say!("{USAGE}");
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
             "--version" => {
                 say!("cundef {}", env!("CARGO_PKG_VERSION"));
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
             "--catalog" => {
                 print_catalog_summary();
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
             "-q" | "--quiet" => quiet = true,
             "--batch" => batch = true,
-            "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => jobs = Some(n),
-                _ => {
-                    complain!("error: `--jobs` needs a positive integer\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            other if other.starts_with('-') => {
-                complain!("error: unknown option `{other}`\n\n{USAGE}");
-                return ExitCode::from(2);
-            }
+            "--jobs" => jobs = Some(value(&mut args, arg, "a positive integer", positive)?),
+            other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
             file => files.push(file.to_string()),
         }
     }
     if files.is_empty() {
-        complain!("error: no input files\n\n{USAGE}");
-        return ExitCode::from(2);
+        return Err("no input files".into());
     }
     if jobs.is_some() && !batch {
-        complain!("error: `--jobs` only applies to `--batch` runs\n\n{USAGE}");
-        return ExitCode::from(2);
+        return Err("`--jobs` only applies to `--batch` runs".into());
     }
 
-    let opts = CheckOptions { phase, profile };
     let mut renderer = format.renderer(quiet);
     let mut any_undefined = false;
     let mut any_engine_failure = false;
@@ -320,9 +314,10 @@ fn main() -> ExitCode {
             emit(checked);
         }
     } else {
-        // Sequential mode streams: each verdict prints as its file
-        // finishes, and nothing accumulates across files (the SARIF
-        // renderer buffers internally by design — one document per run).
+        // Sequential mode streams on the main thread: each verdict
+        // prints as its file finishes, and nothing accumulates across
+        // files (the SARIF renderer buffers internally by design — one
+        // document per run).
         for f in &files {
             emit(&check_file(f, &opts));
         }
@@ -343,164 +338,91 @@ fn main() -> ExitCode {
             StatsMode::Off => unreachable!(),
         }
     }
-    ExitCode::from(fail_on.exit_code(any_undefined, any_engine_failure))
+    Ok(ExitCode::from(
+        fail_on.exit_code(any_undefined, any_engine_failure),
+    ))
 }
 
 /// The `cundef serve` subcommand: parse flags and run the daemon.
-fn serve_main(args: Vec<String>) -> ExitCode {
-    let mut cfg = serve::ServeConfig {
-        defaults: serve::ServeDefaults::default(),
-        jobs: 0,
-        cache_capacity: serve::DEFAULT_CACHE_CAPACITY,
-        listen: None,
-    };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+fn serve_main(args: &[String]) -> Result<ExitCode, String> {
+    let mut listen = None;
+    let mut jobs = None;
+    let mut cache_capacity = serve::DEFAULT_CACHE_CAPACITY;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "-h" | "--help" => {
                 say!("{SERVE_USAGE}");
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
-            "--listen" => match it.next() {
-                Some(addr) => cfg.listen = Some(addr),
-                None => {
-                    complain!("error: `--listen` needs an address\n\n{SERVE_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cfg.jobs = n,
-                _ => {
-                    complain!("error: `--jobs` needs a positive integer\n\n{SERVE_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--cache-capacity" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cfg.cache_capacity = n,
-                _ => {
-                    complain!(
-                        "error: `--cache-capacity` needs a positive integer\n\n{SERVE_USAGE}"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            "--phase" => match it.next().as_deref().and_then(Phase::parse) {
-                Some(p) => cfg.defaults.opts.phase = p,
-                None => {
-                    complain!(
-                        "error: `--phase` needs `translation`, `execution`, or `all`\n\n{SERVE_USAGE}"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match it.next().as_deref().and_then(Format::parse) {
-                Some(f) => cfg.defaults.format = f,
-                None => {
-                    complain!(
-                        "error: `--format` needs `human`, `json`, or `sarif`\n\n{SERVE_USAGE}"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            "--fail-on" => match it.next().as_deref().and_then(FailOn::parse) {
-                Some(f) => cfg.defaults.fail_on = f,
-                None => {
-                    complain!(
-                        "error: `--fail-on` needs `error`, `ub`, or `never`\n\n{SERVE_USAGE}"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            "-q" | "--quiet" => cfg.defaults.quiet = true,
-            other => {
-                complain!("error: unknown serve option `{other}`\n\n{SERVE_USAGE}");
-                return ExitCode::from(2);
+            "--listen" => {
+                listen = Some(value(&mut args, arg, "an address", |a| {
+                    Some(a.to_string())
+                })?)
             }
+            "--jobs" => jobs = Some(value(&mut args, arg, "a positive integer", positive)?),
+            "--cache-capacity" => {
+                cache_capacity = value(&mut args, arg, "a positive integer", positive)?
+            }
+            other => return Err(format!("unknown serve option `{other}`")),
         }
     }
-    ExitCode::from(serve::run_serve(cfg))
+    let workers = jobs.unwrap_or_else(WorkerPool::default_workers);
+    Ok(ExitCode::from(serve::run_serve(
+        listen.as_deref(),
+        workers,
+        cache_capacity,
+    )))
 }
 
 /// The `cundef fuzz` subcommand: run one deterministic sweep.
-fn fuzz_main(args: Vec<String>) -> ExitCode {
+fn fuzz_main(args: &[String]) -> Result<ExitCode, String> {
     let mut cfg = cundef_fuzz::SweepConfig::new(42, 500);
     cfg.jobs = 0; // available parallelism
     let mut print_exits = false;
     let mut serve_replay = false;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "-h" | "--help" => {
                 say!("{FUZZ_USAGE}");
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
-            "--seed" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => cfg.seed = n,
-                None => {
-                    complain!("error: `--seed` needs an integer\n\n{FUZZ_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--count" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n > 0 => cfg.count = n,
-                _ => {
-                    complain!("error: `--count` needs a positive integer\n\n{FUZZ_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
+            "--seed" => cfg.seed = value(&mut args, arg, "an integer", |v| v.parse().ok())?,
+            "--count" => cfg.count = value(&mut args, arg, "a positive integer", positive)?,
             "--shard" => {
-                let parsed = it.next().and_then(|v| {
+                let shard = value(&mut args, arg, "I/M with I < M", |v| {
                     let (i, m) = v.split_once('/')?;
-                    Some((i.parse::<u64>().ok()?, m.parse::<u64>().ok()?))
-                });
-                match parsed {
-                    Some((i, m)) if m > 0 && i < m => cfg.shard = Some((i, m)),
-                    _ => {
-                        complain!("error: `--shard` needs I/M with I < M\n\n{FUZZ_USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
+                    Some((i.parse::<u64>().ok()?, m.parse::<u64>().ok()?)).filter(|&(i, m)| i < m)
+                })?;
+                cfg.shard = Some(shard);
             }
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cfg.jobs = n,
-                _ => {
-                    complain!("error: `--jobs` needs a positive integer\n\n{FUZZ_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
+            "--jobs" => cfg.jobs = value(&mut args, arg, "a positive integer", positive)?,
             "--cross-check" => cfg.cross_check = true,
-            "--trophy-dir" => match it.next() {
-                Some(d) => cfg.trophy_dir = Some(std::path::PathBuf::from(d)),
-                None => {
-                    complain!("error: `--trophy-dir` needs a directory\n\n{FUZZ_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
+            "--trophy-dir" => {
+                cfg.trophy_dir = Some(value(&mut args, arg, "a directory", |d| {
+                    Some(std::path::PathBuf::from(d))
+                })?)
+            }
             "--exits" => print_exits = true,
             "--serve-replay" => serve_replay = true,
-            other => {
-                complain!("error: unknown fuzz option `{other}`\n\n{FUZZ_USAGE}");
-                return ExitCode::from(2);
-            }
+            other => return Err(format!("unknown fuzz option `{other}`")),
         }
     }
     if serve_replay {
-        return if serve::serve_replay(cfg.seed, cfg.count) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        };
+        let clean = serve::serve_replay(cfg.seed, cfg.count);
+        return Ok(ExitCode::from(if clean { 0 } else { 1 }));
     }
     let report = cundef_fuzz::run_sweep(&cfg);
     let _ = std::io::stdout().write_all(report.render().as_bytes());
     if print_exits {
         let _ = std::io::stdout().write_all(report.render_exits().as_bytes());
     }
-    if report.findings.is_empty() {
-        ExitCode::SUCCESS
+    Ok(ExitCode::from(if report.findings.is_empty() {
+        0
     } else {
-        ExitCode::from(1)
-    }
+        1
+    }))
 }
 
 fn print_catalog_summary() {

@@ -3,17 +3,17 @@
 //! and the long-running `cundef serve` daemon.
 //!
 //! The pool is a shared FIFO of boxed jobs drained by `workers` OS
-//! threads. Submission is lock + push + notify; workers park on a
-//! condvar when the queue is dry. There is no per-job allocation
-//! beyond the closure box, and no result plumbing — jobs communicate
-//! through whatever channel or slot their submitter chose, which keeps
-//! the pool reusable for batch slots (index-addressed `Mutex<Option>`)
-//! and serve responses (per-request `mpsc` channels) alike.
+//! threads, each on a [`CHECK_STACK_BYTES`] stack so a check stops at
+//! the same recursion depth as on a one-shot run's main thread.
+//! [`WorkerPool::run`] is lock + push + notify; workers park on a
+//! condvar when the queue is dry. Each job returns its own result on a
+//! one-slot channel, so the worker never blocks on delivery.
 
 use crate::check::{check_file, CheckOptions, Checked};
+use cundef_semantics::eval::CHECK_STACK_BYTES;
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// A queued unit of work.
@@ -32,6 +32,7 @@ struct QueueState {
 }
 
 /// A fixed-size pool of worker threads draining a shared job queue.
+/// Dropping it runs every queued job and joins the workers.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -51,21 +52,24 @@ impl WorkerPool {
         let handles = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || loop {
-                    let job = {
-                        let mut q = shared.queue.lock().expect("pool queue poisoned");
-                        loop {
-                            if let Some(job) = q.jobs.pop_front() {
-                                break job;
+                std::thread::Builder::new()
+                    .stack_size(CHECK_STACK_BYTES)
+                    .spawn(move || loop {
+                        let job = {
+                            let mut q = shared.queue.lock().expect("pool queue poisoned");
+                            loop {
+                                if let Some(job) = q.jobs.pop_front() {
+                                    break job;
+                                }
+                                if q.closed {
+                                    return;
+                                }
+                                q = shared.available.wait(q).expect("pool queue poisoned");
                             }
-                            if q.closed {
-                                return;
-                            }
-                            q = shared.available.wait(q).expect("pool queue poisoned");
-                        }
-                    };
-                    job();
-                })
+                        };
+                        job();
+                    })
+                    .expect("spawn pool worker")
             })
             .collect();
         WorkerPool { shared, handles }
@@ -78,19 +82,29 @@ impl WorkerPool {
             .unwrap_or(1)
     }
 
-    /// Enqueue a job. Panics if called after [`WorkerPool::join`].
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        let mut q = self.shared.queue.lock().expect("pool queue poisoned");
-        assert!(!q.closed, "submit to a closed pool");
-        q.jobs.push_back(Box::new(job));
-        drop(q);
+    /// Enqueue `job`; its result arrives on the returned receiver. A job
+    /// that panics drops its sender, so `recv` fails instead of waiting.
+    pub fn run<T: Send + 'static>(
+        &self,
+        job: impl FnOnce() -> T + Send + 'static,
+    ) -> mpsc::Receiver<T> {
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.shared
+            .queue
+            .lock()
+            .expect("pool queue poisoned")
+            .jobs
+            .push_back(Box::new(move || {
+                let _ = tx.send(job());
+            }));
         self.shared.available.notify_one();
+        rx
     }
+}
 
-    /// Close the queue, run every remaining job, and join the workers.
-    pub fn join(mut self) {
-        {
-            let mut q = self.shared.queue.lock().expect("pool queue poisoned");
+impl Drop for WorkerPool {
+    fn drop(&mut self) {
+        if let Ok(mut q) = self.shared.queue.lock() {
             q.closed = true;
         }
         self.shared.available.notify_all();
@@ -100,26 +114,10 @@ impl WorkerPool {
     }
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // A dropped (not joined) pool still shuts its workers down.
-        {
-            if let Ok(mut q) = self.shared.queue.lock() {
-                q.closed = true;
-            }
-        }
-        self.shared.available.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 /// Check `files` across the pool's workers. Every worker runs its own
-/// parser + analyzer + evaluator (translation units share nothing), so
-/// nothing is shared but the result slots. Results come back in input
-/// order for the main thread to render, keeping every format's output
-/// byte-identical to a sequential run.
+/// parser + analyzer + evaluator (translation units share nothing).
+/// Results come back in input order for the main thread to render,
+/// keeping every format's output byte-identical to a sequential run.
 ///
 /// Duplicate paths are checked **once**: each repeated occurrence
 /// replays a clone of the first occurrence's result. Checking is
@@ -144,30 +142,43 @@ pub fn check_batch(files: &[String], jobs: Option<usize>, opts: &CheckOptions) -
     let workers = jobs
         .unwrap_or_else(WorkerPool::default_workers)
         .min(unique.len().max(1));
-    let slots: Arc<Vec<Mutex<Option<Checked>>>> =
-        Arc::new(unique.iter().map(|_| Mutex::new(None)).collect());
     let pool = WorkerPool::new(workers);
-    for (i, path) in unique.iter().enumerate() {
-        let slots = Arc::clone(&slots);
-        let path = (*path).clone();
-        let opts = *opts;
-        pool.submit(move || {
-            let checked = check_file(&path, &opts);
-            *slots[i].lock().expect("result slot poisoned") = Some(checked);
-        });
-    }
-    pool.join();
-    let results: Vec<Checked> = slots
+    let pending: Vec<mpsc::Receiver<Checked>> = unique
         .iter()
-        .map(|slot| {
-            slot.lock()
-                .expect("result slot poisoned")
-                .clone()
-                .expect("every file checked")
+        .map(|path| {
+            let path = (*path).clone();
+            let opts = *opts;
+            pool.run(move || check_file(&path, &opts))
         })
+        .collect();
+    // Joining first means every result is already buffered, so the main
+    // thread wakes once rather than per file.
+    drop(pool);
+    let results: Vec<Checked> = pending
+        .into_iter()
+        .map(|rx| rx.recv().expect("every file checked"))
         .collect();
     slot_of_input
         .into_iter()
         .map(|i| results[i].clone())
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::WorkerPool;
+
+    /// Every job answers on its own receiver, whatever order the workers
+    /// finish in, and a job that panics leaves its receiver to fail
+    /// rather than wait forever.
+    #[test]
+    fn each_job_answers_on_its_own_receiver() {
+        let pool = WorkerPool::new(2);
+        let answers: Vec<_> = (0..8u64).map(|i| pool.run(move || i * i)).collect();
+        let panicked = pool.run(|| -> u64 { panic!("job panics") });
+        for (i, rx) in (0..8u64).zip(answers) {
+            assert_eq!(rx.recv(), Ok(i * i));
+        }
+        assert!(panicked.recv().is_err());
+    }
 }

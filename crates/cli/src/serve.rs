@@ -11,8 +11,9 @@
 //!
 //! - **stdin-JSONL** — one JSON request object per line on stdin, one
 //!   JSON response object per line on stdout, *in request order* (a
-//!   reorder buffer sequences worker completions). In-band commands:
-//!   `{"cmd": "stats"}` and `{"cmd": "shutdown"}`. EOF also shuts down.
+//!   printer thread waits on each request's own result receiver in
+//!   turn). In-band commands: `{"cmd": "stats"}` and
+//!   `{"cmd": "shutdown"}`. EOF also shuts down.
 //! - **HTTP** (`--listen ADDR`, instead of stdin) — `POST /check` with
 //!   the same request object as the body returns the rendered report
 //!   verbatim as the response body (verdict/exit/cache outcome in
@@ -40,7 +41,6 @@ use crate::pool::WorkerPool;
 use cundef_cache::{content_hash, CacheKey, LruCache};
 use cundef_ub::json::{escaped, Json};
 use cundef_ub::render::{FileResult, Rendered, Verdict};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -57,18 +57,6 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 /// request object for a translation unit in the supported subset, and
 /// a bound on what one connection can make the daemon allocate.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
-
-/// Per-daemon configuration (from `cundef serve` flags).
-pub struct ServeConfig {
-    /// Defaults for requests that don't override them.
-    pub defaults: ServeDefaults,
-    /// Worker threads (0 = available parallelism).
-    pub jobs: usize,
-    /// Capacity of the result cache, in entries.
-    pub cache_capacity: usize,
-    /// HTTP listen address (e.g. `127.0.0.1:0`); stdin-JSONL when unset.
-    pub listen: Option<String>,
-}
 
 /// One parsed check request (transport-independent).
 #[derive(Debug, Clone)]
@@ -130,9 +118,8 @@ impl ServeResponse {
     }
 }
 
-/// The daemon's shared state: cache, counters, defaults.
+/// The daemon's shared state: cache and counters.
 pub struct ServeCore {
-    defaults: ServeDefaults,
     /// Result cache: (content hash, options fingerprint) → the source
     /// bytes and their path-normalized [`FileResult`].
     results: Mutex<LruCache<CachedResult>>,
@@ -144,34 +131,6 @@ pub struct ServeCore {
     started: Instant,
 }
 
-/// Per-request defaults from the daemon's command line.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeDefaults {
-    /// Checking options.
-    pub opts: CheckOptions,
-    /// Output format.
-    pub format: Format,
-    /// Human quiet flag.
-    pub quiet: bool,
-    /// Exit threshold.
-    pub fail_on: FailOn,
-}
-
-impl Default for ServeDefaults {
-    /// The one-shot CLI's defaults: all phases, human format, exit on UB.
-    fn default() -> ServeDefaults {
-        ServeDefaults {
-            opts: CheckOptions {
-                phase: Phase::All,
-                profile: false,
-            },
-            format: Format::Human,
-            quiet: false,
-            fail_on: FailOn::Ub,
-        }
-    }
-}
-
 /// One result-cache entry. The key's 64-bit hash can collide, so a hit
 /// counts only when `source` equals the request's bytes.
 struct CachedResult {
@@ -181,9 +140,8 @@ struct CachedResult {
 
 impl ServeCore {
     /// A fresh core with an empty cache.
-    pub fn new(defaults: ServeDefaults, cache_capacity: usize, workers: usize) -> ServeCore {
+    pub fn new(cache_capacity: usize, workers: usize) -> ServeCore {
         ServeCore {
-            defaults,
             results: Mutex::new(LruCache::new(cache_capacity)),
             requests: AtomicU64::new(0),
             full_hits: AtomicU64::new(0),
@@ -192,52 +150,6 @@ impl ServeCore {
             workers,
             started: Instant::now(),
         }
-    }
-
-    /// Parse one JSON request object against the daemon defaults.
-    ///
-    /// Recognized fields: `path` (string), `source` (string, inline
-    /// translation unit), `id` (number), `phase`, `format` (strings),
-    /// `quiet` (bool), `profile` (bool), `fail_on` (string). Any other
-    /// field is ignored.
-    pub fn parse_request(&self, v: &Json) -> Result<CheckRequest, String> {
-        let d = self.defaults;
-        let path = v.get("path").and_then(Json::as_str).map(str::to_string);
-        let source = v.get("source").and_then(Json::as_str).map(str::to_string);
-        let path = match (path, &source) {
-            (Some(p), _) => p,
-            (None, Some(_)) => "<request>.c".to_string(),
-            (None, None) => return Err("request needs a `path` or inline `source`".into()),
-        };
-        let id = v.get("id").and_then(Json::as_f64).map(|f| f as u64);
-        let mut opts = d.opts;
-        if let Some(s) = v.get("phase").and_then(Json::as_str) {
-            opts.phase = Phase::parse(s).ok_or_else(|| format!("unknown phase `{s}`"))?;
-        }
-        if let Some(Json::Bool(b)) = v.get("profile") {
-            opts.profile = *b;
-        }
-        let format = match v.get("format").and_then(Json::as_str) {
-            Some(s) => Format::parse(s).ok_or_else(|| format!("unknown format `{s}`"))?,
-            None => d.format,
-        };
-        let quiet = match v.get("quiet") {
-            Some(Json::Bool(b)) => *b,
-            _ => d.quiet,
-        };
-        let fail_on = match v.get("fail_on").and_then(Json::as_str) {
-            Some(s) => FailOn::parse(s).ok_or_else(|| format!("unknown fail_on `{s}`"))?,
-            None => d.fail_on,
-        };
-        Ok(CheckRequest {
-            id,
-            path,
-            source,
-            opts,
-            format,
-            quiet,
-            fail_on,
-        })
     }
 
     /// Serve one request end to end: resolve the source bytes, consult
@@ -364,6 +276,48 @@ impl ServeCore {
     }
 }
 
+/// Parse one JSON request object. A field left out takes the one-shot
+/// CLI's default.
+///
+/// Recognized fields: `path` (string), `source` (string, inline
+/// translation unit), `id` (number), `phase`, `format` (strings),
+/// `quiet` (bool), `profile` (bool), `fail_on` (string). Any other
+/// field is ignored.
+pub fn parse_request(v: &Json) -> Result<CheckRequest, String> {
+    let path = v.get("path").and_then(Json::as_str).map(str::to_string);
+    let source = v.get("source").and_then(Json::as_str).map(str::to_string);
+    let path = match (path, &source) {
+        (Some(p), _) => p,
+        (None, Some(_)) => "<request>.c".to_string(),
+        (None, None) => return Err("request needs a `path` or inline `source`".into()),
+    };
+    let id = v.get("id").and_then(Json::as_f64).map(|f| f as u64);
+    let mut opts = CheckOptions::default();
+    if let Some(s) = v.get("phase").and_then(Json::as_str) {
+        opts.phase = Phase::parse(s).ok_or_else(|| format!("unknown phase `{s}`"))?;
+    }
+    if let Some(Json::Bool(b)) = v.get("profile") {
+        opts.profile = *b;
+    }
+    let format = match v.get("format").and_then(Json::as_str) {
+        Some(s) => Format::parse(s).ok_or_else(|| format!("unknown format `{s}`"))?,
+        None => Format::default(),
+    };
+    let fail_on = match v.get("fail_on").and_then(Json::as_str) {
+        Some(s) => FailOn::parse(s).ok_or_else(|| format!("unknown fail_on `{s}`"))?,
+        None => FailOn::default(),
+    };
+    Ok(CheckRequest {
+        id,
+        path,
+        source,
+        opts,
+        format,
+        quiet: matches!(v.get("quiet"), Some(Json::Bool(true))),
+        fail_on,
+    })
+}
+
 /// Render one result exactly as a one-shot run would: per-file render
 /// plus the format's trailing output (the SARIF document).
 pub fn render_one(result: &FileResult, format: Format, quiet: bool) -> Rendered {
@@ -384,17 +338,14 @@ fn error_jsonl(id: Option<u64>, message: &str) -> String {
     out
 }
 
-/// Run the daemon. Returns the process exit code.
-pub fn run_serve(cfg: ServeConfig) -> u8 {
-    let workers = if cfg.jobs == 0 {
-        WorkerPool::default_workers()
-    } else {
-        cfg.jobs
-    };
-    let core = Arc::new(ServeCore::new(cfg.defaults, cfg.cache_capacity, workers));
+/// Run the daemon on `workers` threads with a result cache of
+/// `cache_capacity` entries: over HTTP on `listen` (e.g. `127.0.0.1:0`)
+/// when given, else over stdin-JSONL. Returns the process exit code.
+pub fn run_serve(listen: Option<&str>, workers: usize, cache_capacity: usize) -> u8 {
+    let core = Arc::new(ServeCore::new(cache_capacity, workers));
     let pool = Arc::new(WorkerPool::new(workers));
 
-    let Some(addr) = &cfg.listen else {
+    let Some(addr) = listen else {
         // stdin-JSONL: EOF or `shutdown` ends the service.
         stdin_loop(&core, &pool);
         eprintln!("{}", core.summary());
@@ -410,7 +361,7 @@ pub fn run_serve(cfg: ServeConfig) -> u8 {
     let local = listener
         .local_addr()
         .map(|a| a.to_string())
-        .unwrap_or_else(|_| addr.clone());
+        .unwrap_or_else(|_| addr.to_string());
     eprintln!("cundef serve: listening on http://{local}");
     let stop = Arc::new(AtomicBool::new(false));
     let done = Arc::new((Mutex::new(false), Condvar::new()));
@@ -430,47 +381,45 @@ pub fn run_serve(cfg: ServeConfig) -> u8 {
     0
 }
 
-/// The stdin-JSONL request loop. Responses print in request order; a
-/// reorder buffer on the printer thread sequences worker completions.
-fn stdin_loop(core: &Arc<ServeCore>, pool: &Arc<WorkerPool>) {
-    let (tx, rx) = mpsc::channel::<(u64, String)>();
-    // (next sequence number to print, printed-count condvar).
-    let progress = Arc::new((Mutex::new(0u64), Condvar::new()));
+/// One stdin reply, handed to the printer in request order.
+enum Reply {
+    /// A line known as soon as the request is read.
+    Line(String),
+    /// A check on the worker pool: the request id (for the error
+    /// envelope if the job ends unanswered) and the job's receiver.
+    Check(Option<u64>, mpsc::Receiver<String>),
+    /// A `stats` command. The printer answers it once every earlier reply
+    /// has printed, then releases the reader, which waits so that the
+    /// counters cover exactly the requests before it.
+    Stats(mpsc::SyncSender<()>),
+}
+
+/// The stdin-JSONL request loop. Responses print in request order: the
+/// printer thread takes each request's own receiver in turn.
+fn stdin_loop(core: &Arc<ServeCore>, pool: &WorkerPool) {
+    let (tx, rx) = mpsc::channel::<Reply>();
     let printer = {
-        let progress = Arc::clone(&progress);
+        let core = Arc::clone(core);
         std::thread::spawn(move || {
             let stdout = std::io::stdout();
-            let mut buffer: BTreeMap<u64, String> = BTreeMap::new();
-            let mut next = 0u64;
-            for (seq, line) in rx {
-                buffer.insert(seq, line);
-                let mut emitted = false;
-                while let Some(line) = buffer.remove(&next) {
-                    let mut out = stdout.lock();
-                    let _ = writeln!(out, "{line}");
-                    let _ = out.flush();
-                    next += 1;
-                    emitted = true;
-                }
-                if emitted {
-                    let (lock, cv) = &*progress;
-                    *lock.lock().expect("printer progress poisoned") = next;
-                    cv.notify_all();
-                }
+            for reply in rx {
+                let line = match reply {
+                    Reply::Line(line) => line,
+                    Reply::Check(id, response) => response
+                        .recv()
+                        .unwrap_or_else(|_| error_jsonl(id, "the check ended without a response")),
+                    Reply::Stats(release) => {
+                        let line = core.stats_json();
+                        let _ = release.send(());
+                        line
+                    }
+                };
+                let mut out = stdout.lock();
+                let _ = writeln!(out, "{line}");
+                let _ = out.flush();
             }
         })
     };
-    // Block until every response up to `seq` has printed — the barrier
-    // that makes `stats` deterministic (it reflects every request that
-    // preceded it on stdin) and `shutdown` clean (nothing in flight).
-    let drain = |seq: u64| {
-        let (lock, cv) = &*progress;
-        let mut printed = lock.lock().expect("printer progress poisoned");
-        while *printed < seq {
-            printed = cv.wait(printed).expect("printer progress poisoned");
-        }
-    };
-    let mut seq = 0u64;
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let Ok(line) = line else { break };
@@ -484,48 +433,34 @@ fn stdin_loop(core: &Arc<ServeCore>, pool: &Arc<WorkerPool>) {
             .and_then(Json::as_f64)
             .map(|f| f as u64);
         let Some(v) = parsed else {
-            let _ = tx.send((seq, error_jsonl(id, "request line is not valid JSON")));
-            seq += 1;
+            let _ = tx.send(Reply::Line(error_jsonl(
+                id,
+                "request line is not valid JSON",
+            )));
             continue;
         };
-        match v.get("cmd").and_then(Json::as_str) {
+        let reply = match v.get("cmd").and_then(Json::as_str) {
             Some("stats") => {
-                drain(seq);
-                let _ = tx.send((seq, core.stats_json()));
-                seq += 1;
+                let (release, released) = mpsc::sync_channel(1);
+                let _ = tx.send(Reply::Stats(release));
+                let _ = released.recv();
                 continue;
             }
             Some("shutdown") => {
-                drain(seq);
-                let _ = tx.send((seq, "{\"type\": \"shutdown\"}".to_string()));
-                seq += 1;
+                let _ = tx.send(Reply::Line("{\"type\": \"shutdown\"}".to_string()));
                 break;
             }
-            Some(other) => {
-                let _ = tx.send((seq, error_jsonl(id, &format!("unknown cmd `{other}`"))));
-                seq += 1;
-                continue;
-            }
-            None => {}
-        }
-        match core.parse_request(&v) {
-            Err(msg) => {
-                let _ = tx.send((seq, error_jsonl(id, &msg)));
-                seq += 1;
-            }
-            Ok(req) => {
-                let core = Arc::clone(core);
-                let tx = tx.clone();
-                let s = seq;
-                pool.submit(move || {
-                    let resp = core.handle(&req);
-                    let _ = tx.send((s, resp.to_jsonl()));
-                });
-                seq += 1;
-            }
-        }
+            Some(other) => Reply::Line(error_jsonl(id, &format!("unknown cmd `{other}`"))),
+            None => match parse_request(&v) {
+                Err(msg) => Reply::Line(error_jsonl(id, &msg)),
+                Ok(req) => {
+                    let core = Arc::clone(core);
+                    Reply::Check(id, pool.run(move || core.handle(&req).to_jsonl()))
+                }
+            },
+        };
+        let _ = tx.send(reply);
     }
-    drain(seq);
     drop(tx);
     let _ = printer.join();
 }
@@ -643,7 +578,7 @@ fn handle_connection(
                     .and_then(Json::parse)
                     .ok_or_else(|| "request body is not valid JSON".to_string())
                     .and_then(|v| match v.get("source").and_then(Json::as_str) {
-                        Some(_) => core.parse_request(&v),
+                        Some(_) => parse_request(&v),
                         // The daemon reads no files for a remote peer:
                         // one fixed answer, whatever the `path`.
                         None => Err("an HTTP request needs inline `source`".to_string()),
@@ -659,14 +594,10 @@ fn handle_connection(
                             Format::Json => "application/x-ndjson",
                             Format::Sarif => "application/json",
                         };
-                        // Shard the check across the worker pool; this
-                        // connection thread just waits for its slot.
-                        let (rtx, rrx) = mpsc::channel();
+                        // The check runs on the worker pool; this
+                        // connection thread waits for its answer.
                         let job_core = Arc::clone(&core);
-                        pool.submit(move || {
-                            let _ = rtx.send(job_core.handle(&req));
-                        });
-                        let Ok(resp) = rrx.recv() else {
+                        let Ok(resp) = pool.run(move || job_core.handle(&req)).recv() else {
                             write_http(
                                 &mut writer,
                                 500,
@@ -742,8 +673,8 @@ pub fn serve_replay(seed: u64, count: u64) -> bool {
     use cundef_fuzz::gen::{generate, Class};
     use cundef_fuzz::rng::case_seed;
 
-    let defaults = ServeDefaults::default();
-    let core = ServeCore::new(defaults, DEFAULT_CACHE_CAPACITY, 1);
+    let opts = CheckOptions::default();
+    let core = ServeCore::new(DEFAULT_CACHE_CAPACITY, 1);
     let formats = [Format::Human, Format::Json, Format::Sarif];
     let mut divergences = 0u64;
     for i in 0..count {
@@ -754,7 +685,7 @@ pub fn serve_replay(seed: u64, count: u64) -> bool {
         let path = format!("fuzz-{i}.c");
 
         // The ground truth: what a one-shot run prints for these bytes.
-        let checked = check_source(&path, &case.source, PhaseStats::default(), &defaults.opts);
+        let checked = check_source(&path, &case.source, PhaseStats::default(), &opts);
         let expected = render_one(&checked.result, format, false);
         let (any_ub, any_fail) = match checked.result.verdict {
             Verdict::Defined => (false, false),
@@ -767,7 +698,7 @@ pub fn serve_replay(seed: u64, count: u64) -> bool {
             id: Some(i),
             path: path.clone(),
             source: Some(case.source.clone()),
-            opts: defaults.opts,
+            opts,
             format,
             quiet: false,
             fail_on: FailOn::Ub,

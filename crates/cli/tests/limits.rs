@@ -1,9 +1,9 @@
 //! Nesting limits end to end: the deepest accepted programs and the
 //! first refused ones, plus inputs far past every limit, give the same
-//! bytes from a one-shot run, `--batch --jobs 2` (worker threads with
-//! 2 MiB stacks) and `cundef serve`, and never abort. A refused input is
-//! a parse error naming the limit (exit 2), and the daemon goes on
-//! answering the requests behind it.
+//! bytes from a one-shot run (on the main thread), `--batch --jobs 2`
+//! and `cundef serve` (on worker threads with the same stack), and
+//! never abort. A refused input is a parse error naming the limit
+//! (exit 2), and the daemon goes on answering the requests behind it.
 
 use cundef_semantics::parser::{MAX_EXPR_DEPTH, MAX_STMT_DEPTH};
 use cundef_ub::json::Json;
@@ -72,6 +72,19 @@ fn nested_recursion() -> String {
          int main(void) {{ return f(250); }}\n",
         "{".repeat(100),
         "}".repeat(100)
+    )
+}
+
+/// A call `k` deep whose every level nests 250 conditionals inside a
+/// full expression with two side effects, so the engine recurses
+/// natively through each level, and a worker with a smaller stack than
+/// one-shot's main thread aborts on it.
+fn deep_conditional_recursion(k: usize) -> String {
+    format!(
+        "int f(int n) {{ int a; int b; return (a = 1) + (b = 1) + ({}f(n - 1){}); }}\n\
+         int main(void) {{ return f({k}) != 7; }}\n",
+        "n ? ".repeat(250),
+        " : 0".repeat(250)
     )
 }
 
@@ -152,9 +165,10 @@ fn limits_are_accepted_at_and_refused_one_past_in_every_mode() {
             ("blocks-at", blocks(s)),
             ("blocks-past", blocks(s + 1)),
             ("recursion", nested_recursion()),
+            ("conditional-recursion", deep_conditional_recursion(3)),
         ],
     );
-    assert_same_everywhere(&paths, &[0, 2, 0, 2, 0, 2, 0]);
+    assert_same_everywhere(&paths, &[0, 2, 0, 2, 0, 2, 0, 0]);
     let refused = cundef(&[&paths[1]]);
     let stderr = String::from_utf8(refused.stderr).unwrap();
     assert!(

@@ -44,6 +44,8 @@ fn cundef(args: &[&str]) -> Output {
 
 /// Run `cundef serve` with `args`, feed `input` JSONL on stdin, and
 /// return the response lines (the trailing shutdown line included).
+/// When `input` ends with the shutdown command, the daemon's last line
+/// must acknowledge it.
 fn serve(args: &[&str], input: &str) -> Vec<Json> {
     let mut child = Command::new(env!("CARGO_BIN_EXE_cundef"))
         .current_dir(workspace_root())
@@ -62,8 +64,15 @@ fn serve(args: &[&str], input: &str) -> Vec<Json> {
         .expect("write requests");
     let out = child.wait_with_output().expect("daemon should exit");
     assert_eq!(out.status.code(), Some(0), "daemon exit: {out:?}");
-    String::from_utf8(out.stdout)
-        .expect("stdout is UTF-8")
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    if input.ends_with("{\"cmd\": \"shutdown\"}\n") {
+        assert_eq!(
+            stdout.lines().last(),
+            Some("{\"type\": \"shutdown\"}"),
+            "shutdown acknowledged last"
+        );
+    }
+    stdout
         .lines()
         .map(|l| Json::parse(l).unwrap_or_else(|| panic!("response line is JSON: {l}")))
         .collect()
@@ -328,22 +337,49 @@ fn serve_eviction_stays_correct() {
 }
 
 /// `{"cmd": "stats"}` is a barrier: it reflects exactly the requests
-/// that preceded it on stdin, so counters are deterministic.
+/// that preceded it on stdin, so counters are deterministic, with one
+/// worker or with four. The repeats follow a barrier, so even parallel
+/// workers find every first pass cached and none can double-miss.
 #[test]
 fn serve_stats_deterministic() {
-    let input = "\
-        {\"path\": \"examples/defined.c\"}\n\
-        {\"path\": \"examples/defined.c\"}\n\
-        {\"path\": \"examples/unsequenced.c\"}\n\
-        {\"cmd\": \"stats\"}\n\
-        {\"cmd\": \"shutdown\"}\n";
-    let responses = serve(&["--jobs", "1"], input);
-    let stats = &responses[3];
-    assert_eq!(str_field(stats, "type"), "stats");
-    assert_eq!(num_field(stats, "requests"), 3);
-    assert_eq!(num_field(stats, "full_hits"), 1);
-    assert_eq!(num_field(stats, "cold_misses"), 2);
-    assert_eq!(num_field(stats, "uncached"), 0);
+    let mut pass = String::from(
+        "{\"path\": \"examples/defined.c\"}\n\
+         {\"path\": \"examples/unsequenced.c\"}\n\
+         {\"path\": \"no/such/file.c\"}\n",
+    );
+    for i in 0..20 {
+        pass.push_str(&format!(
+            "{{\"source\": \"int main(void) {{ return {i}; }}\"}}\n"
+        ));
+    }
+    let stats = "{\"cmd\": \"stats\"}\n";
+    let input = format!("{pass}{stats}{pass}{stats}{{\"cmd\": \"shutdown\"}}\n");
+    for jobs in ["1", "4"] {
+        let responses = serve(&["--jobs", jobs], &input);
+        assert_eq!(responses.len(), 23 + 1 + 23 + 1 + 1, "--jobs {jobs}");
+        for (at, requests, full_hits, cold_misses, uncached) in
+            [(23, 23, 0, 22, 1), (47, 46, 22, 22, 2)]
+        {
+            let stats = &responses[at];
+            assert_eq!(str_field(stats, "type"), "stats", "--jobs {jobs}");
+            assert_eq!(num_field(stats, "requests"), requests, "--jobs {jobs}");
+            assert_eq!(num_field(stats, "full_hits"), full_hits, "--jobs {jobs}");
+            assert_eq!(
+                num_field(stats, "cold_misses"),
+                cold_misses,
+                "--jobs {jobs}"
+            );
+            assert_eq!(num_field(stats, "uncached"), uncached, "--jobs {jobs}");
+        }
+        for resp in &responses[24..47] {
+            let want = if str_field(resp, "verdict") == "error" {
+                "uncached"
+            } else {
+                "hit"
+            };
+            assert_eq!(str_field(resp, "cache"), want, "--jobs {jobs}: {resp:?}");
+        }
+    }
 }
 
 // --------------------------------------------------------------------
@@ -430,16 +466,25 @@ fn serve_error_envelopes() {
 }
 
 /// stdin is served exactly when `--listen` is absent: there is no
-/// `--stdin` switch.
+/// `--stdin` switch. Request options live on the request alone: the
+/// daemon takes no default phase, format, threshold or quiet flag.
 #[test]
 fn serve_has_no_stdin_option() {
-    let out = cundef(&["serve", "--stdin"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown serve option `--stdin`"),
-        "{stderr}"
-    );
+    for args in [
+        &["--stdin"][..],
+        &["--phase", "all"],
+        &["--format", "json"],
+        &["--fail-on", "ub"],
+        &["-q"],
+    ] {
+        let out = cundef(&[&["serve"][..], args].concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: unknown serve option `{}`\n", args[0])),
+            "{stderr}"
+        );
+    }
 }
 
 /// A call that returns without a value, used as the left operand of

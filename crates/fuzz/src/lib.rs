@@ -39,6 +39,7 @@ pub mod oracle;
 pub mod rng;
 pub mod trophy;
 
+use cundef_semantics::eval::CHECK_STACK_BYTES;
 use decision::DecisionSource;
 use gen::{generate, Class, GenCase};
 use oracle::{check, check_defined, check_engines, check_json_roundtrip, CrossCheck};
@@ -226,8 +227,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
         for _ in 0..jobs.max(1) {
             // The evaluator recurses through the AST once per C call
             // frame; minimized-but-legal deep call chains need more than
-            // the 2 MiB default worker stack, so give workers the same
-            // headroom a main thread gets.
+            // the 2 MiB default worker stack, so workers get the check
+            // stack a one-shot run has.
             let worker = || loop {
                 let index = cursor.fetch_add(1, Ordering::Relaxed);
                 if index >= cfg.count {
@@ -287,7 +288,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
                 });
             };
             std::thread::Builder::new()
-                .stack_size(16 << 20)
+                .stack_size(CHECK_STACK_BYTES)
                 .spawn_scoped(scope, worker)
                 .expect("spawn fuzz worker");
         }

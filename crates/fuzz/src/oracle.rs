@@ -28,10 +28,12 @@
 //!    verdict, not a semantic one.
 //! 5. **JSON round-trip** ([`check_json_roundtrip`]) — the structured
 //!    renderer must agree with the human oracle on every generated
-//!    program: building the [`FileResult`] the CLI would build,
-//!    rendering it with the [`JsonRenderer`], and re-parsing the JSONL
-//!    must reproduce the verdict and, for undefined programs, the
-//!    finding's kind, code, line, column, and detail bit-for-bit. A
+//!    program: building the CLI's
+//!    [`FileResult`](cundef_ub::render::FileResult) with
+//!    [`Outcome::into_result`], rendering it with the [`JsonRenderer`],
+//!    and re-parsing the JSONL must reproduce the verdict and, for
+//!    undefined programs, the finding's kind, code, line, column, and
+//!    detail bit-for-bit. A
 //!    drift here means `--format json` and `--format human` would tell
 //!    two different stories about the same run.
 
@@ -43,7 +45,7 @@ use cundef_semantics::ctype::{CInt, IntTy};
 use cundef_semantics::eval::{Engine, Interp, Limits, Outcome};
 use cundef_semantics::parser::parse;
 use cundef_ub::json::Json;
-use cundef_ub::render::{FileResult, JsonRenderer, Renderer, Verdict};
+use cundef_ub::render::{JsonRenderer, Renderer};
 use cundef_ub::UbKind;
 
 /// A divergence between two of the checker's views of one program — the
@@ -431,47 +433,23 @@ pub fn check_engines(source: &str) -> Result<(), Divergence> {
     Ok(())
 }
 
-/// Oracle (e): JSON round-trip. Build the [`FileResult`] the CLI would
-/// build for `source`, render it with the JSONL renderer, re-parse the
+/// Oracle (e): JSON round-trip. Build the
+/// [`FileResult`](cundef_ub::render::FileResult) the CLI would build
+/// for `source`, render it with the JSONL renderer, re-parse the
 /// lines, and require the structured view to match the human-oracle
 /// verdict — and, for undefined programs, the finding's kind, code,
 /// line, column, and detail — field-for-field.
 pub fn check_json_roundtrip(source: &str) -> Result<(), Divergence> {
     let unit = parse(source).map_err(|e| Divergence::ParseError(e.to_string()))?;
     let mut interp = Interp::new(&unit, Limits::default());
-    let outcome = interp.run_main();
     let drift = |detail: String| Divergence::FormatDrift { detail };
 
-    // The FileResult the CLI's execution phase would build (the fuzzer
-    // skips the translation phase: generated doomed programs re-detect
+    // The FileResult the CLI's execution phase builds (the fuzzer skips
+    // the translation phase: generated doomed programs re-detect
     // dynamically, which is what oracle (b) already checks).
-    let mut result = FileResult {
-        path: "fuzz-case.c".into(),
-        verdict: Verdict::Defined,
-        findings: Vec::new(),
-        notes: interp.notes().to_vec(),
-        success: None,
-        exit: None,
-        errors: Vec::new(),
-    };
-    match &outcome {
-        Outcome::Completed(exit) => {
-            result.success = Some(format!(
-                "no undefined behavior detected (program returned {exit})"
-            ));
-            result.exit = Some(*exit);
-        }
-        Outcome::Undefined(err) => {
-            result.verdict = Verdict::Undefined;
-            result.findings.push(err.to_diagnostic());
-        }
-        Outcome::Unsupported { message, loc } => {
-            result.verdict = Verdict::EngineFailure;
-            result
-                .errors
-                .push(format!("checker limitation at {loc}: {message}"));
-        }
-    }
+    let result = interp
+        .run_main()
+        .into_result("fuzz-case.c", interp.notes().to_vec());
     // The renderer debug-asserts the location contract; report the
     // violation as a divergence instead of panicking a sweep worker.
     if let Some(d) = result.findings.first() {

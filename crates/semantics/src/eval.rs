@@ -73,6 +73,7 @@ use crate::consteval::{self, ConstStop};
 use crate::ctype::{CInt, IntTy, PTR_BYTES, SIZE_T};
 use crate::intern::{kw, Symbol};
 use crate::profile::ExecProfile;
+use cundef_ub::render::{FileResult, Verdict};
 use cundef_ub::{SourceLoc, UbError, UbKind};
 use std::borrow::Cow;
 use std::rc::Rc;
@@ -124,6 +125,12 @@ pub fn detected_kinds() -> &'static [UbKind] {
         IncompleteTypeObject,
     ]
 }
+
+/// Native stack of every thread that checks a program, in bytes: the
+/// main-thread stack Linux gives a one-shot run by default, so worker
+/// threads (`--batch`, `cundef serve`, the fuzz sweep) stop at the same
+/// recursion depth as a one-shot run.
+pub const CHECK_STACK_BYTES: usize = 8 << 20;
 
 /// Resource bounds for one execution, so that the checker terminates on
 /// looping inputs without claiming anything about them.
@@ -292,6 +299,39 @@ impl Outcome {
             Outcome::Completed(v) => Some(*v),
             _ => None,
         }
+    }
+
+    /// The execution phase's [`FileResult`] for the file labelled `path`,
+    /// carrying the run's implementation-defined conversion `notes`.
+    pub fn into_result(self, path: &str, notes: Vec<(SourceLoc, String)>) -> FileResult {
+        let mut result = FileResult {
+            path: path.to_string(),
+            verdict: Verdict::Defined,
+            findings: Vec::new(),
+            notes,
+            success: None,
+            exit: None,
+            errors: Vec::new(),
+        };
+        match self {
+            Outcome::Completed(exit) => {
+                result.success = Some(format!(
+                    "no undefined behavior detected (program returned {exit})"
+                ));
+                result.exit = Some(exit);
+            }
+            Outcome::Undefined(report) => {
+                result.verdict = Verdict::Undefined;
+                result.findings = vec![report.to_diagnostic()];
+            }
+            Outcome::Unsupported { message, loc } => {
+                result.verdict = Verdict::EngineFailure;
+                result
+                    .errors
+                    .push(format!("checker limitation at {loc}: {message}"));
+            }
+        }
+        result
     }
 }
 
